@@ -24,15 +24,13 @@ from .engine import (
     play_match,
 )
 from .errors import PushcopsError
-from .four_regular import FourRegularStrategy, four_regular_strategy
+from .four_regular import FourRegularStrategy
 from .graph import (
     OrientedGraph,
-    PushClass,
     UnderlyingGraph,
     is_dag,
     is_trapped,
     parse_arcs,
-    push_class,
     reachable_from,
     serialize_arcs,
     validate_graph,
@@ -46,11 +44,10 @@ from .pushdag import (
 )
 from .solver import (
     Arena,
+    OptimalCop,
+    OptimalRobber,
     SolveResult,
-    build_arena,
     cop_number,
-    optimal_cop,
-    optimal_robber,
     solve,
     solve_game,
 )
@@ -62,10 +59,6 @@ from .strategies import (
     Strategy,
     StrongPushDagStrategy,
     TrapCaptureStrategy,
-    dag_chase,
-    oracle_strategy,
-    strong_push_dag_strategy,
-    trap_capture,
 )
 
 __all__ = [
@@ -76,13 +69,14 @@ __all__ = [
     "GameState",
     "GameVariant",
     "MoveTo",
+    "OptimalCop",
+    "OptimalRobber",
     "OracleCopStrategy",
     "OrientedGraph",
     "PlaceCops",
     "PlaceRobber",
     "Push",
     "PushAbility",
-    "PushClass",
     "PushcopsError",
     "RandomRobber",
     "SolveResult",
@@ -94,29 +88,20 @@ __all__ = [
     "TrapCaptureStrategy",
     "Turn",
     "UnderlyingGraph",
-    "build_arena",
     "cop_number",
-    "dag_chase",
     "dag_push_target",
     "extend_reachability",
     "find_dag_push_set",
-    "four_regular_strategy",
     "is_dag",
     "is_trapped",
     "normalize_single_source",
-    "optimal_cop",
-    "optimal_robber",
-    "oracle_strategy",
     "parse_arcs",
     "play_match",
-    "push_class",
     "reachable_from",
     "serialize_arcs",
     "single_source",
     "solve",
     "solve_game",
-    "strong_push_dag_strategy",
-    "trap_capture",
     "validate_graph",
 ]
 

@@ -15,7 +15,7 @@ from .errors import InternalInvariantViolation, PushcopsError
 from .four_regular import FourRegularStrategy
 from .graph import parse_arcs, serialize_arcs
 from .pushdag import dag_push_target, find_dag_push_set, normalize_single_source
-from .solver import optimal_robber, solve_game
+from .solver import OptimalRobber, solve_game
 from .strategies import (
     ManualStrategy,
     OracleCopStrategy,
@@ -76,7 +76,7 @@ def cmd_play(args) -> int:
     else:
         cop = ManualStrategy("cops")
     if args.robber == "optimal":
-        robber = optimal_robber(solve_game(og, variant))
+        robber = OptimalRobber(solve_game(og, variant))
     elif args.robber == "random":
         robber = RandomRobber(args.seed)
     elif args.robber == "stay":

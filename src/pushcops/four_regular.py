@@ -18,11 +18,10 @@ guessing.
 
 from __future__ import annotations
 
-from collections import deque
-
 from .errors import InternalInvariantViolation, NotFourRegularError
 from .engine import Game, GameState, MoveTo, PlaceCops, Push, Stay, Turn
 from .graph import OrientedGraph, UnderlyingGraph, is_trapped, push_parity
+from .solver import attractor
 from .strategies import Strategy, TrapCaptureStrategy
 
 
@@ -30,93 +29,47 @@ class _ScriptMismatch(Exception):
     """A scripted endgame met a state its case analysis does not cover."""
 
 
-def _bfs_path_to_set(graph: UnderlyingGraph, start: int, targets: set[int]) -> list[int]:
-    if start in targets:
-        return [start]
-    prev = {start: start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for b in graph.adj[a]:
-                if b not in prev:
-                    prev[b] = a
-                    if b in targets:
-                        path = [b]
-                        while path[-1] != start:
-                            path.append(prev[path[-1]])
-                        return path[::-1]
-                    nxt.append(b)
-        frontier = nxt
-    raise AssertionError("connected graph: some target must be reachable")
-
-
 def push_trap_policy(graph: UnderlyingGraph, ref_bits: int):
     """Exact solve of the push-only trapping game, ignoring the cop's position.
 
-    States are (parity, robber vertex, mover).  The cop may pass or push any
+    States are (parity, robber vertex, mover), numbered (parity * n + robber)
+    * 2 + mover for the shared attractor.  The cop may pass or push any
     vertex; the robber may stay or move.  Target: robber trapped on the cop's
     turn.  Returns (levels, policy) where policy maps winning cop states to
     the vertex to push (None = pass).
     """
     n = graph.n
-    parities = range(1 << max(n - 1, 0))
-    out = {
-        p: tuple(OrientedGraph(graph, ref_bits, p).out_neighbors(v) for v in range(n))
-        for p in parities
-    }
+    out = [
+        tuple(OrientedGraph(graph, ref_bits, p).out_neighbors(v) for v in range(n))
+        for p in range(1 << max(n - 1, 0))
+    ]
 
-    def succs(p, r, t):
-        if t == 0:
-            yield (p, r, 1)
-            for v in range(n):
-                yield (push_parity(p, v, n), r, 1)
-        else:
-            yield (p, r, 0)
-            for w in out[p][r]:
-                yield (p, w, 0)
+    def index(p, r, t):
+        return (p * n + r) * 2 + t
 
-    level: dict[tuple[int, int, int], int] = {}
-    preds: dict[tuple[int, int, int], list[tuple[int, int, int]]] = {}
-    count: dict[tuple[int, int, int], int] = {}
-    queue: deque = deque()
-    for p in parities:
-        for r in range(n):
-            for t in (0, 1):
-                s = (p, r, t)
-                if t == 0 and not out[p][r]:
-                    level[s] = 0
-                    queue.append(s)
-                    continue
-                ss = set(succs(p, r, t))
-                count[s] = len(ss)
-                for q in ss:
-                    preds.setdefault(q, []).append(s)
-    while queue:
-        q = queue.popleft()
-        for s in preds.get(q, []):
-            if s in level:
-                continue
-            if s[2] == 0:
-                level[s] = level[q] + 1
-                queue.append(s)
-            else:
-                count[s] -= 1
-                if count[s] == 0:
-                    level[s] = level[q] + 1
-                    queue.append(s)
+    def successors(s):
+        p, r = divmod(s >> 1, n)
+        if s & 1 == 0:
+            return [index(q, r, 1) for q in (p, *(push_parity(p, v, n) for v in range(n)))]
+        return [index(p, w, 0) for w in (r, *out[p][r])]
+
+    def trapped(s):
+        p, r = divmod(s >> 1, n)
+        return s & 1 == 0 and not out[p][r]
+
+    level = attractor(len(out) * n * 2, successors, trapped, lambda s: s & 1 == 0)
+    levels = {(*divmod(s >> 1, n), s & 1): lv for s, lv in enumerate(level) if lv is not None}
     policy: dict[tuple[int, int, int], int | None] = {}
-    for s, lv in level.items():
-        if s[2] != 0 or lv == 0:
+    for (p, r, t), lv in levels.items():
+        if t != 0 or lv == 0:
             continue
-        p, r, _ = s
-        if level.get((p, r, 1)) == lv - 1:
-            policy[s] = None  # pass
+        if levels.get((p, r, 1)) == lv - 1:
+            policy[(p, r, 0)] = None  # pass
         else:
-            policy[s] = next(
-                v for v in range(n) if level.get((push_parity(p, v, n), r, 1)) == lv - 1
+            policy[(p, r, 0)] = next(
+                v for v in range(n) if levels.get((push_parity(p, v, n), r, 1)) == lv - 1
             )
-    return level, policy
+    return levels, policy
 
 
 class FourRegularStrategy(Strategy):
@@ -463,7 +416,7 @@ class FourRegularStrategy(Strategy):
                     z, u, x, y, x1, x2, y2, v_in, xp, yp, w1, w2, w3, w4, w5, w6, w7, w8
                 )
                 return
-            nxt = _bfs_path_to_set(g, z, gadget)[1]
+            nxt = g.path_to_nearest(z, gadget)[1]
             if self.cur_og.has_arc(z, nxt):
                 yield MoveTo(nxt)
             else:
@@ -539,6 +492,3 @@ class FourRegularStrategy(Strategy):
             return
         raise _ScriptMismatch(f"arrival vertex {t} has no scripted role")
 
-
-def four_regular_strategy(og: OrientedGraph, start: int = 0) -> FourRegularStrategy:
-    return FourRegularStrategy(og, start)

@@ -6,7 +6,7 @@ import itertools
 import random
 from typing import Iterator
 
-from .errors import BadFamilyParamsError, TooLargeError
+from .errors import BadFamilyParamsError, DisconnectedError, TooLargeError
 from .graph import OrientedGraph, UnderlyingGraph
 
 MAX_ENUM_VERTICES = 7
@@ -100,7 +100,7 @@ def enumerate_connected_graphs(
             continue
         try:
             g = UnderlyingGraph.from_edges(n, pairs)
-        except Exception:
+        except DisconnectedError:
             continue
         if max_degree is not None and g.max_degree() > max_degree:
             continue

@@ -10,7 +10,7 @@ pinned to zero).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Collection, Iterator, Sequence
 
 from .errors import (
     DisconnectedError,
@@ -99,7 +99,11 @@ class UnderlyingGraph:
 
     def shortest_path(self, u: int, v: int) -> list[int]:
         """BFS path in the underlying graph, ignoring orientation."""
-        if u == v:
+        return self.path_to_nearest(u, (v,))
+
+    def path_to_nearest(self, u: int, targets: Collection[int]) -> list[int]:
+        """BFS path from u to the first target it reaches, ignoring orientation."""
+        if u in targets:
             return [u]
         prev = {u: u}
         frontier = [u]
@@ -109,7 +113,7 @@ class UnderlyingGraph:
                 for b in self.adj[a]:
                     if b not in prev:
                         prev[b] = a
-                        if b == v:
+                        if b in targets:
                             path = [b]
                             while path[-1] != u:
                                 path.append(prev[path[-1]])
@@ -214,11 +218,6 @@ def validate_graph(n: int, arcs: Sequence[tuple[int, int]]) -> OrientedGraph:
     return OrientedGraph(g, ref, 0)
 
 
-def neighborhoods(og: OrientedGraph, v: int) -> tuple[frozenset[int], frozenset[int]]:
-    """Partition N(v) into (out-neighbors, in-neighbors)."""
-    return frozenset(og.out_neighbors(v)), frozenset(og.in_neighbors(v))
-
-
 def is_dag(og: OrientedGraph) -> tuple[bool, list[int]]:
     """Acyclicity check.
 
@@ -267,49 +266,6 @@ def is_trapped(og: OrientedGraph, v: int) -> bool:
     return og.out_degree(v) == 0
 
 
-def is_source_in(og: OrientedGraph, v: int, s: Sequence[int]) -> bool:
-    """True iff S is contained in the closed out-neighborhood of v."""
-    closed = set(og.out_neighbors(v))
-    closed.add(v)
-    for w in s:
-        og.graph.check_vertex(w)
-        if w not in closed:
-            return False
-    return True
-
-
-@dataclass(frozen=True)
-class PushClass:
-    """All orientations reachable from a reference by push sequences."""
-
-    graph: UnderlyingGraph
-    ref_bits: int
-
-    @property
-    def size(self) -> int:
-        return 1 << max(self.graph.n - 1, 0)
-
-    def member(self, index: int) -> OrientedGraph:
-        if not 0 <= index < self.size:
-            raise IndexError(index)
-        return OrientedGraph(self.graph, self.ref_bits, index)
-
-    def index_of(self, og: OrientedGraph) -> int:
-        if og.graph is not self.graph and og.graph != self.graph:
-            raise ValueError("orientation belongs to a different underlying graph")
-        if og.ref_bits != self.ref_bits:
-            raise ValueError("orientation belongs to a different push class")
-        return og.parity
-
-    def __iter__(self) -> Iterator[OrientedGraph]:
-        for p in range(self.size):
-            yield self.member(p)
-
-
-def push_class(og: OrientedGraph) -> PushClass:
-    return PushClass(og.graph, og.ref_bits)
-
-
 def orientation_bits(og: OrientedGraph) -> int:
     """Current direction bits of all edges, as one integer (bit e set = flipped)."""
     bits = 0
@@ -352,21 +308,3 @@ def serialize_arcs(og: OrientedGraph) -> str:
     lines.extend(f"{u} {v}" for u, v in og.arcs())
     return "\n".join(lines) + "\n"
 
-
-def to_dot(og: OrientedGraph, cops: Sequence[int] = (), robber: int | None = None) -> str:
-    """GraphViz digraph with optional cop/robber annotations."""
-    lines = ["digraph G {"]
-    copset = set(cops)
-    for v in range(og.n):
-        marks = []
-        if v in copset:
-            marks.append("C")
-        if v == robber:
-            marks.append("R")
-        label = f"{v}" + (f" [{','.join(marks)}]" if marks else "")
-        shape = ' shape=doublecircle' if marks else ''
-        lines.append(f'  {v} [label="{label}"{shape}];')
-    for u, v in og.arcs():
-        lines.append(f"  {u} -> {v};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"

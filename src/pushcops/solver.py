@@ -13,6 +13,7 @@ import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
+from typing import Callable
 
 from .errors import QueriedOnWrongArenaError, TooLargeError
 from .engine import (
@@ -144,10 +145,6 @@ class Arena:
         return [self.play_index(p, c, robber, 1) for p, c in results]
 
 
-def build_arena(og: OrientedGraph, variant: GameVariant) -> Arena:
-    return Arena(og, variant)
-
-
 @dataclass
 class SolveResult:
     """Win labels and capture-time levels (half-moves) for every arena state."""
@@ -176,22 +173,14 @@ class SolveResult:
         Valid because play states for every parity of the class are in the
         arena; only the placement chain is pinned to the built initial parity.
         """
-        arena = self.arena
-        n = arena.graph.n
-        if parity not in arena.par_index:
-            raise QueriedOnWrongArenaError(f"parity {parity} not in arena")
-        return any(
-            all(
-                self.level[arena.play_index(parity, cfg, r, 0)] is not None
-                for r in range(n)
-            )
-            for cfg in arena.cfgs
-        )
+        return self.member_rounds(parity) is not None
 
     def member_rounds(self, parity: int) -> int | None:
         """Optimal capture rounds from this parity, or None if robber-win."""
         arena = self.arena
         n = arena.graph.n
+        if parity not in arena.par_index:
+            raise QueriedOnWrongArenaError(f"parity {parity} not in arena")
         best = None
         for cfg in arena.cfgs:
             levels = [self.level[arena.play_index(parity, cfg, r, 0)] for r in range(n)]
@@ -202,26 +191,30 @@ class SolveResult:
                 best = worst
         return None if best is None else (best + 1) // 2
 
-    def rounds_from(self, state: GameState) -> int | None:
-        lv = self.level[self.arena.state_index(state)]
-        if lv is None:
-            return None
-        return (lv + 1) // 2
 
+def attractor(
+    total: int,
+    successors: Callable[[int], list[int]],
+    is_target: Callable[[int], bool],
+    is_max: Callable[[int], bool],
+) -> list[int | None]:
+    """Counter-based attractor over states 0..total-1 toward the target states.
 
-def solve(arena: Arena) -> SolveResult:
-    """Counter-based attractor computation from the capture states."""
-    total = arena.total
+    A MAX state needs one successor in the attractor, any other state needs
+    all of them.  Returns each state's optimal distance to the targets in
+    moves (MAX minimizing, the opponent maximizing), or None outside the
+    attractor.
+    """
     preds: list[list[int]] = [[] for _ in range(total)]
     succ_count = [0] * total
     level: list[int | None] = [None] * total
     queue: deque[int] = deque()
     for s in range(total):
-        if arena.is_capture(s):
+        if is_target(s):
             level[s] = 0
             queue.append(s)
             continue
-        succ = arena.successors(s)
+        succ = successors(s)
         succ_count[s] = len(succ)
         for t in succ:
             preds[t].append(s)
@@ -231,7 +224,7 @@ def solve(arena: Arena) -> SolveResult:
         for s in preds[t]:
             if level[s] is not None:
                 continue
-            if arena.is_cop_owned(s):
+            if is_max(s):
                 level[s] = lt + 1
                 queue.append(s)
             else:
@@ -240,7 +233,14 @@ def solve(arena: Arena) -> SolveResult:
                     # t finalized last and BFS order is level order, so lt is the max
                     level[s] = lt + 1
                     queue.append(s)
-    return SolveResult(arena, level)
+    return level
+
+
+def solve(arena: Arena) -> SolveResult:
+    """Attractor of the capture states, with the cops as the MAX player."""
+    return SolveResult(
+        arena, attractor(arena.total, arena.successors, arena.is_capture, arena.is_cop_owned)
+    )
 
 
 def audit_levels(result: SolveResult) -> None:
@@ -263,7 +263,7 @@ def audit_levels(result: SolveResult) -> None:
 
 
 def solve_game(og: OrientedGraph, variant: GameVariant) -> SolveResult:
-    return solve(build_arena(og, variant))
+    return solve(Arena(og, variant))
 
 
 def cop_number(og: OrientedGraph, push: PushAbility, k_max: int) -> int | None:
@@ -325,10 +325,3 @@ class OptimalRobber(_OptimalBase):
                 best = (lv, ordinal, action)
         return best[2]
 
-
-def optimal_cop(result: SolveResult) -> OptimalCop:
-    return OptimalCop(result)
-
-
-def optimal_robber(result: SolveResult) -> OptimalRobber:
-    return OptimalRobber(result)

@@ -16,7 +16,7 @@ from .errors import (
 from .engine import Game, GameState, GameVariant, MoveTo, PlaceCops, PlaceRobber, Push, Stay, Turn
 from .graph import OrientedGraph, is_dag, is_trapped, reachable_from
 from .pushdag import dag_push_target, normalize_single_source, single_source
-from .solver import optimal_cop, solve_game
+from .solver import OptimalCop, solve_game
 
 
 class Strategy:
@@ -138,26 +138,10 @@ class OracleCopStrategy(Strategy):
         if not result.root_win:
             raise NotCopWinError("solver verdict is robber-win at this cop count")
         self.result = result
-        self._policy = optimal_cop(result)
+        self._policy = OptimalCop(result)
 
     def __call__(self, game: Game, state: GameState):
         return self._policy(game, state)
-
-
-def trap_capture(og: OrientedGraph, cop: int, robber: int) -> TrapCaptureStrategy:
-    return TrapCaptureStrategy(og, cop, robber)
-
-
-def dag_chase(og: OrientedGraph, cop: int) -> DagChaseStrategy:
-    return DagChaseStrategy(og, cop)
-
-
-def strong_push_dag_strategy(og: OrientedGraph) -> StrongPushDagStrategy:
-    return StrongPushDagStrategy(og)
-
-
-def oracle_strategy(og: OrientedGraph, variant: GameVariant) -> OracleCopStrategy:
-    return OracleCopStrategy(og, variant)
 
 
 # robber policies

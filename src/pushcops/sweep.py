@@ -24,7 +24,7 @@ from .generators import (
     random_orientation,
 )
 from .graph import OrientedGraph, serialize_arcs
-from .solver import build_arena, solve
+from .solver import Arena, solve
 
 CSV_HEADER = [
     "instance_id",
@@ -133,7 +133,7 @@ def sweep_row(instance_id: str, family: str, og: OrientedGraph, push: PushAbilit
     started = time.perf_counter()
     try:
         for k in range(1, k_max + 1):
-            result = solve(build_arena(og, GameVariant(push, k)))
+            result = solve(Arena(og, GameVariant(push, k)))
             row["states"] += result.arena.total
             if result.root_win:
                 row["verdict"] = "cop-win"

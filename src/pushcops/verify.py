@@ -30,7 +30,7 @@ from .graph import (
     validate_graph,
 )
 from .pushdag import find_dag_push_set, reachability_partition
-from .solver import SolveResult, optimal_robber, solve_game
+from .solver import OptimalRobber, SolveResult, solve_game
 from .strategies import StayRobber, StrongPushDagStrategy, TrapCaptureStrategy
 
 
@@ -86,7 +86,7 @@ def suite_theorem_dag(max_n: int = 5) -> SuiteResult:
                 trace = play_match(
                     member,
                     StrongPushDagStrategy(member),
-                    optimal_robber(result),
+                    OptimalRobber(result),
                     GameVariant(PushAbility.STRONG),
                 )
                 if trace.outcome["type"] != "captured":
@@ -138,7 +138,7 @@ def suite_strategy_4regular(families=None) -> SuiteResult:
                 continue
             strategy = FourRegularStrategy(rep)
             trace = play_match(
-                rep, strategy, optimal_robber(result), GameVariant(PushAbility.STRONG)
+                rep, strategy, OptimalRobber(result), GameVariant(PushAbility.STRONG)
             )
             if trace.outcome["type"] != "captured":
                 res.fail(f"{name}: scripted strategy failed to capture", rep)

@@ -7,7 +7,7 @@ from pushcops.errors import NotFourRegularError
 from pushcops.four_regular import FourRegularStrategy, push_trap_policy
 from pushcops.generators import complete, enumerate_orientations, octahedron
 from pushcops.graph import OrientedGraph, is_trapped, validate_graph
-from pushcops.solver import optimal_robber, solve_game
+from pushcops.solver import OptimalRobber, solve_game
 
 from conftest import random_oriented
 
@@ -58,7 +58,7 @@ class TestMatches:
             result = solve_game(rep, STRONG)
             assert result.root_win
             strategy = FourRegularStrategy(rep)
-            trace = play_match(rep, strategy, optimal_robber(result), STRONG)
+            trace = play_match(rep, strategy, OptimalRobber(result), STRONG)
             assert trace.outcome["type"] == "captured"
             for entry in strategy.audit_log:
                 assert entry["invariant"] or entry["mode"] != "invariant"
@@ -70,7 +70,7 @@ class TestMatches:
         for rep in list(enumerate_orientations(g, per_class=True))[:24]:
             result = solve_game(rep, STRONG)
             strategy = FourRegularStrategy(rep)
-            robber = optimal_robber(result)
+            robber = OptimalRobber(result)
             game = Game(rep, STRONG)
             state = game.initial_state()
             rounds = 0

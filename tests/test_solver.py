@@ -9,11 +9,11 @@ from pushcops.engine import Game, GameVariant, PushAbility, Turn, play_match
 from pushcops.errors import NotCopWinError, QueriedOnWrongArenaError
 from pushcops.graph import validate_graph
 from pushcops.solver import (
+    Arena,
+    OptimalCop,
+    OptimalRobber,
     audit_levels,
-    build_arena,
     cop_number,
-    optimal_cop,
-    optimal_robber,
     solve,
     solve_game,
 )
@@ -34,23 +34,23 @@ class TestArena:
     @pytest.mark.parametrize("n,k", [(3, 1), (3, 2), (4, 1), (4, 3)])
     def test_state_count_formula(self, n, k):
         og = random_oriented(random.Random(n * 10 + k), n)
-        arena = build_arena(og, GameVariant(PushAbility.STRONG, k))
+        arena = Arena(og, GameVariant(PushAbility.STRONG, k))
         cfgs = math.comb(n + k - 1, k)
         assert arena.n_play == (1 << (n - 1)) * cfgs * n * 2
         assert arena.total == arena.n_play + 1 + cfgs
 
     def test_no_push_collapses_parities(self):
-        arena = build_arena(triangle().push(1), GameVariant(PushAbility.NONE, 1))
+        arena = Arena(triangle().push(1), GameVariant(PushAbility.NONE, 1))
         assert arena.parities == [triangle().push(1).parity]
 
     def test_decode_inverts_encode(self):
-        arena = build_arena(triangle(), GameVariant(PushAbility.WEAK, 2))
+        arena = Arena(triangle(), GameVariant(PushAbility.WEAK, 2))
         for idx in range(arena.n_play):
             p, cfg, r, t = arena.decode_play(idx)
             assert arena.play_index(p, cfg, r, t) == idx
 
     def test_wrong_parity_rejected(self):
-        arena = build_arena(triangle(), GameVariant(PushAbility.NONE, 1))
+        arena = Arena(triangle(), GameVariant(PushAbility.NONE, 1))
         from pushcops.engine import GameState
 
         with pytest.raises(QueriedOnWrongArenaError):
@@ -64,7 +64,7 @@ class TestArena:
         rng = random.Random(seed)
         og = random_oriented(rng, n)
         variant = GameVariant(PushAbility(push), k)
-        arena = build_arena(og, variant)
+        arena = Arena(og, variant)
         game = Game(og, variant)
         for _ in range(15):
             idx = rng.randrange(arena.total)
@@ -98,12 +98,18 @@ class TestSolve:
         assert result.member_win(og.parity) == result.root_win
         assert result.member_rounds(og.parity) == result.capture_rounds
 
+    def test_member_queries_reject_foreign_parity(self):
+        result = solve_game(triangle(), GameVariant(PushAbility.NONE, 1))
+        for query in (result.member_rounds, result.member_win):
+            with pytest.raises(QueriedOnWrongArenaError):
+                query(2)
+
     @given(st.integers(0, 10_000), st.integers(3, 5),
            st.sampled_from(["none", "weak", "strong"]))
     @settings(max_examples=20, deadline=None)
     def test_fixpoint_audit(self, seed, n, push):
         og = random_oriented(random.Random(seed), n)
-        audit_levels(solve(build_arena(og, GameVariant(PushAbility(push), 1))))
+        audit_levels(solve(Arena(og, GameVariant(PushAbility(push), 1))))
 
     def test_cop_number_directed_cycle(self):
         og = directed_cycle(5)
@@ -123,7 +129,7 @@ class TestOptimalPolicies:
         if not result.root_win:
             return
         trace = play_match(
-            og, optimal_cop(result), optimal_robber(result), GameVariant(PushAbility.STRONG, 1)
+            og, OptimalCop(result), OptimalRobber(result), GameVariant(PushAbility.STRONG, 1)
         )
         assert trace.outcome == {"type": "captured", "round": result.capture_rounds}
 
@@ -132,7 +138,7 @@ class TestOptimalPolicies:
         result = solve_game(og, GameVariant(PushAbility.NONE, 1))
         assert not result.root_win
         trace = play_match(
-            og, optimal_cop(result), optimal_robber(result),
+            og, OptimalCop(result), OptimalRobber(result),
             GameVariant(PushAbility.NONE, 1), max_rounds=30,
         )
         assert trace.outcome["type"] == "round-limit"
@@ -145,4 +151,4 @@ class TestOptimalPolicies:
         result = solve_game(triangle(), GameVariant(PushAbility.STRONG, 1))
         other = Game(triangle(), GameVariant(PushAbility.WEAK, 1))
         with pytest.raises(QueriedOnWrongArenaError):
-            optimal_cop(result)(other, other.initial_state())
+            OptimalCop(result)(other, other.initial_state())

@@ -8,7 +8,7 @@ from pushcops.engine import GameVariant, PushAbility, play_match
 from pushcops.errors import NotSingleSourceDagError, RobberNotTrappedError
 from pushcops.graph import is_dag, validate_graph
 from pushcops.pushdag import dag_push_target, normalize_single_source, single_source
-from pushcops.solver import optimal_robber, solve_game
+from pushcops.solver import OptimalRobber, solve_game
 from pushcops.strategies import (
     DagChaseStrategy,
     StayRobber,
@@ -59,7 +59,7 @@ class TestDagChase:
         result = solve_game(self.og, GameVariant(PushAbility.NONE, 1))
         strategy = DagChaseStrategy(self.og, 0)
         trace = play_match(
-            self.og, strategy, optimal_robber(result), GameVariant(PushAbility.NONE, 1)
+            self.og, strategy, OptimalRobber(result), GameVariant(PushAbility.NONE, 1)
         )
         assert trace.outcome["type"] == "captured"
         assert all(a > b for a, b in zip(strategy.potentials, strategy.potentials[1:]))
@@ -79,7 +79,7 @@ class TestStrongPushDag:
         assert result.root_win
         strategy = StrongPushDagStrategy(og)
         trace = play_match(
-            og, strategy, optimal_robber(result), GameVariant(PushAbility.STRONG, 1)
+            og, strategy, OptimalRobber(result), GameVariant(PushAbility.STRONG, 1)
         )
         assert trace.outcome["type"] == "captured"
         budget = strategy.push_budget + (n - 1) + 2 * (n - 1)
