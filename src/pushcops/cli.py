@@ -55,6 +55,7 @@ def cmd_solve(args) -> int:
                     "cops": args.cops,
                     "capture_rounds": result.capture_rounds,
                     "states": result.arena.total,
+                    "iterations": result.iterations,
                 }
             )
         )

@@ -21,7 +21,7 @@ from __future__ import annotations
 from .errors import InternalInvariantViolation, NotFourRegularError
 from .engine import Game, GameState, MoveTo, PlaceCops, Push, Stay, Turn
 from .graph import OrientedGraph, UnderlyingGraph, is_trapped, push_parity
-from .solver import attractor
+from .solver import BitLayout, fixpoint
 from .strategies import Strategy, TrapCaptureStrategy
 
 
@@ -33,31 +33,17 @@ def push_trap_policy(graph: UnderlyingGraph, ref_bits: int):
     """Exact solve of the push-only trapping game, ignoring the cop's position.
 
     States are (parity, robber vertex, mover), numbered (parity * n + robber)
-    * 2 + mover for the shared attractor.  The cop may pass or push any
-    vertex; the robber may stay or move.  Target: robber trapped on the cop's
-    turn.  Returns (levels, policy) where policy maps winning cop states to
-    the vertex to push (None = pass).
+    * 2 + mover as in the solver's fixpoint with no cops.  The cop may pass
+    or push any vertex; the robber may stay or move.  Target: robber trapped
+    on the cop's turn.  Returns (levels, policy) where policy maps winning cop
+    states to the vertex to push (None = pass).
     """
     n = graph.n
-    out = [
-        tuple(OrientedGraph(graph, ref_bits, p).out_neighbors(v) for v in range(n))
-        for p in range(1 << max(n - 1, 0))
-    ]
-
-    def index(p, r, t):
-        return (p * n + r) * 2 + t
-
-    def successors(s):
-        p, r = divmod(s >> 1, n)
-        if s & 1 == 0:
-            return [index(q, r, 1) for q in (p, *(push_parity(p, v, n) for v in range(n)))]
-        return [index(p, w, 0) for w in (r, *out[p][r])]
-
-    def trapped(s):
-        p, r = divmod(s >> 1, n)
-        return s & 1 == 0 and not out[p][r]
-
-    level = attractor(len(out) * n * 2, successors, trapped, lambda s: s & 1 == 0)
+    layout = BitLayout(graph, ref_bits, list(range(1 << max(n - 1, 0))), 0)
+    can_move = 0
+    for _, m in layout.robber_moves:
+        can_move |= m
+    level, _ = fixpoint(layout, lambda won: won | layout.any_push(won), layout.full ^ can_move, 0)
     levels = {(*divmod(s >> 1, n), s & 1): lv for s, lv in enumerate(level) if lv is not None}
     policy: dict[tuple[int, int, int], int | None] = {}
     for (p, r, t), lv in levels.items():

@@ -2,8 +2,8 @@
 
 The arena enumerates (push parity, cop multiset, robber vertex, turn) play
 states plus a cop-placement root and one robber-placement state per cop
-configuration.  Capture states are the attractor targets; a counter-based
-attractor computation labels every state with its optimal remaining capture
+configuration.  Capture states are the attractor targets; a level-synchronous
+fixpoint over bitsets labels every state with its optimal remaining capture
 time in half-moves.
 """
 
@@ -11,33 +11,23 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import deque
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
 from .errors import QueriedOnWrongArenaError, TooLargeError
-from .engine import (
-    Game,
-    GameState,
-    GameVariant,
-    MoveTo,
-    PlaceCops,
-    PlaceRobber,
-    PushAbility,
-    Stay,
-    Turn,
-)
-from .graph import OrientedGraph, push_parity
+from .engine import Game, GameState, GameVariant, PushAbility, Turn
+from .graph import OrientedGraph, UnderlyingGraph, parity_bit
 
-STATE_CAP = 10**8
+# Memory budget of one solve: about 2 GB at 100 B per arena state.  The
+# tracemalloc peak was 18.9 B/state on C11(1,2) with strong push and 1 cop
+# (247,820 states, 4.68 MB).  With k >= 2 the bitsets also hold the unsorted
+# cop tuples: 35-46 B/state for 2 cops, 87 B/state for 3 strong-push cops on K7.
+STATE_CAP = 2 * 10**9 // 100
 
 
 class Arena:
-    """Dense state enumeration with natively generated successor lists.
-
-    Successor generation here is independent of engine.Game on purpose: the
-    test suite cross-checks the two against each other.
-    """
+    """Dense state enumeration: the index order of `SolveResult.level`."""
 
     def __init__(self, og: OrientedGraph, variant: GameVariant):
         self.graph = og.graph
@@ -60,13 +50,6 @@ class Arena:
         self.n_play = len(self.parities) * len(self.cfgs) * n * 2
         self.total = total
         self.root = self.n_play
-        # out-neighbor lists per parity, indexed [parity_pos][vertex]
-        self._out = [
-            tuple(
-                OrientedGraph(self.graph, self.ref_bits, p).out_neighbors(v) for v in range(n)
-            )
-            for p in self.parities
-        ]
 
     def play_index(self, parity: int, cfg: tuple[int, ...], robber: int, turn: int) -> int:
         n = self.graph.n
@@ -97,52 +80,227 @@ class Arena:
             raise QueriedOnWrongArenaError(f"parity {state.parity} not in arena")
         return self.play_index(state.parity, state.cops, state.robber, turn)
 
-    def is_capture(self, idx: int) -> bool:
-        if idx >= self.n_play:
-            return False
-        _, cfg, robber, _ = self.decode_play(idx)
-        return robber in cfg
 
-    def is_cop_owned(self, idx: int) -> bool:
-        """MAX states: cop-to-move play states and the cop-placement root."""
-        return idx == self.root or (idx < self.n_play and (idx & 1) == 0)
+def _tile(unit: int, width: int, count: int) -> int:
+    """`count` copies of the `width`-bit pattern `unit`, side by side."""
+    out = 0
+    shift = 0
+    while count:
+        if count & 1:
+            out |= unit << shift
+            shift += width
+        unit |= unit << width
+        width *= 2
+        count >>= 1
+    return out
 
-    def successors(self, idx: int) -> list[int]:
-        n = self.graph.n
-        if idx == self.root:
-            return [self.n_play + 1 + ci for ci in range(len(self.cfgs))]
-        if idx > self.n_play:
-            cfg = self.cfgs[idx - self.n_play - 1]
-            return [self.play_index(self.initial_parity, cfg, r, 0) for r in range(n)]
-        parity, cfg, robber, turn = self.decode_play(idx)
-        if robber in cfg:
-            return []
-        if turn == 1:
-            out = self._out[self.par_index[parity]][robber]
-            succ = {idx - 1}  # stay: same position, cop to move
-            for w in out:
-                succ.add(self.play_index(parity, cfg, w, 0))
-            return list(succ)
-        # cop round: resolve per-cop options sequentially, pushes first-come
-        push = self.variant.push
-        results: set[tuple[int, tuple[int, ...]]] = set()
 
-        def expand(i: int, p: int, positions: tuple[int, ...]):
-            if i == len(positions):
-                results.add((p, tuple(sorted(positions))))
-                return
-            v = positions[i]
-            expand(i + 1, p, positions)  # stay
-            for w in self._out[self.par_index[p]][v]:
-                expand(i + 1, p, positions[:i] + (w,) + positions[i + 1:])
-            if push is PushAbility.WEAK:
-                expand(i + 1, push_parity(p, v, n), positions)
-            elif push is PushAbility.STRONG:
-                for w in range(n):
-                    expand(i + 1, push_parity(p, w, n), positions)
+def _pull(x: int, d: int) -> int:
+    """Bit q of the result is bit q + d of x."""
+    return x >> d if d >= 0 else x << -d
 
-        expand(0, parity, cfg)
-        return [self.play_index(p, c, robber, 1) for p, c in results]
+
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _spread(x: int, size: int) -> int:
+    """Byte i of the result is bit i of x, for i < size."""
+    return int.from_bytes(format(x, f"0{size}b").encode("ascii").translate(_BIT_BYTES), "big")
+
+
+class BitLayout:
+    """Python-int bitsets over (parity, ordered cop tuple, robber) positions.
+
+    Position (p * n**k + c) * n + r is parity block p, cop tuple c read as k
+    base-n digits with cop 0 most significant, and robber r.  A move along
+    one arc, for every position at once, is a shift masked by "mover on the
+    tail and the arc present in this parity"; a push swaps parity blocks.
+    """
+
+    def __init__(self, graph: UnderlyingGraph, ref_bits: int, parities: list[int], k: int):
+        n = graph.n
+        self.n = n
+        self.k = k
+        self.blocks = len(parities)
+        self.block = n ** (k + 1)
+        self.size = self.blocks * self.block
+        self.full = (1 << self.size) - 1
+        # pbit[v]: positions whose parity gives vertex v push-parity 1
+        if self.blocks == 1:
+            pbit = [self.full if parity_bit(parities[0], v) else 0 for v in range(n)]
+        else:
+            pbit = [0]
+            for t in range(n - 1):
+                run = (1 << t) * self.block
+                pbit.append(_tile(((1 << run) - 1) << run, 2 * run, self.blocks >> (t + 1)))
+        # bit-t-clear masks for swapping parity blocks
+        self._flips = [((1 << t) * self.block, self.full ^ pbit[t + 1]) for t in range(n - 1)]
+
+        def arc(a: int, b: int) -> int:
+            e = graph.edge_index(a, b)
+            flipped = pbit[a] ^ pbit[b]
+            return flipped if ((ref_bits >> e) & 1) ^ (a > b) else self.full ^ flipped
+
+        arcs = [(a, b, arc(a, b)) for a in range(n) for b in graph.adj[a]]
+        robber0 = _tile(1, n, self.size // n)
+        self.robber_at = [robber0 << a for a in range(n)]
+        self.robber_moves = [(b - a, self.robber_at[a] & m) for a, b, m in arcs]
+        # cop j steps by n**(k-1-j) tuple positions, each n bits wide
+        self.cop_at: list[list[int]] = []
+        self.cop_moves: list[list[tuple[int, int]]] = []
+        for j in range(k):
+            w = n ** (k - j)
+            cop0 = _tile((1 << w) - 1, n * w, self.size // (n * w))
+            at = [cop0 << (a * w) for a in range(n)]
+            self.cop_at.append(at)
+            self.cop_moves.append([((b - a) * w, at[a] & m) for a, b, m in arcs])
+
+    def push(self, x: int, v: int) -> int:
+        """The bitset pulled back through a push of vertex v."""
+        for s, low in self._flips if v == 0 else self._flips[v - 1:v]:
+            x = ((x & low) << s) | ((x >> s) & low)
+        return x
+
+    def any_push(self, x: int) -> int:
+        """The bitset pulled back through a push of any one vertex."""
+        out = 0
+        for v in range(self.n):
+            out |= self.push(x, v)
+        return out
+
+    def capture(self) -> int:
+        """Positions with the robber on some cop's vertex."""
+        hit = 0
+        for at in self.cop_at:
+            for a in range(self.n):
+                hit |= at[a] & self.robber_at[a]
+        return hit
+
+    def robber_pre(self, won: int) -> int:
+        """Positions where the robber, to move, can only stay or move into `won`."""
+        lost = self.full ^ won
+        escape = 0
+        for d, m in self.robber_moves:
+            escape |= m & _pull(lost, d)
+        return won & ~escape
+
+    def cop_step(self, won: int, j: int, push: PushAbility) -> int:
+        """Positions where cop j, to act, can stay, move or push into `won`."""
+        out = won
+        for d, m in self.cop_moves[j]:
+            out |= m & _pull(won, d)
+        if push is PushAbility.STRONG:
+            out |= self.any_push(won)
+        elif push is PushAbility.WEAK:
+            for v in range(self.n):
+                out |= self.cop_at[j][v] & self.push(won, v)
+        return out
+
+    def sorted_tuples(self) -> list[int]:
+        """Tuple indices of the sorted cop tuples, in increasing order."""
+        n, k = self.n, self.k
+        return [
+            sum(c * n ** (k - 1 - j) for j, c in enumerate(cfg))
+            for cfg in itertools.combinations_with_replacement(range(n), k)
+        ]
+
+    def symmetrizer(self) -> Callable[[int], int]:
+        """Map a bitset on sorted cop tuples to one on all their permutations."""
+        n, k = self.n, self.k
+        unit = 0
+        for c in self.sorted_tuples():
+            unit |= ((1 << n) - 1) << (c * n)
+        keep = _tile(unit, self.block, self.blocks)
+        # swapping adjacent cops along a reduced word of the longest
+        # permutation reaches every ordering (subword property)
+        swaps = []
+        for i in range(k - 1):
+            for j in range(i, -1, -1):
+                w = n ** (k - j) - n ** (k - 1 - j)
+                at, nxt = self.cop_at[j], self.cop_at[j + 1]
+                for d in range(1, n):
+                    m = 0
+                    for a in range(n - d):
+                        m |= at[a] & nxt[a + d]
+                    swaps.append((d * w, m))
+
+        def symmetrize(x: int) -> int:
+            x &= keep
+            for s, m in swaps:
+                x |= ((x & m) << s) | ((x >> s) & m)
+            return x
+
+        return symmetrize
+
+    def levels(self, planes: tuple[list[int], list[int]]) -> list[int | None]:
+        """Levels in (position, turn) order over sorted cop tuples only.
+
+        `planes[t][b]` holds bit b of level + 1 for the positions of turn t;
+        0 means unreached.
+        """
+        size = self.size
+        bits = max(len(planes[0]), len(planes[1]))
+        width = 1 if bits <= 8 else 2 if bits <= 16 else 4
+        buf = bytearray(2 * width * size)
+        for t, turn_planes in enumerate(planes):
+            for lane in range(width):
+                acc = 0
+                for b in range(8 * lane, min(8 * lane + 8, len(turn_planes))):
+                    if turn_planes[b]:
+                        acc |= _spread(turn_planes[b], size) << (b - 8 * lane)
+                byte = lane if sys.byteorder == "little" else width - 1 - lane
+                buf[t * width + byte::2 * width] = acc.to_bytes(size, "little")
+        data = memoryview(buf)
+        if self.k >= 2:
+            run = 2 * width * self.n  # one cop tuple: every robber, both turns
+            per_block = self.block // self.n
+            tuples = self.sorted_tuples()
+            starts = [(p * per_block + c) * run for p in range(self.blocks) for c in tuples]
+            data = memoryview(b"".join(data[s:s + run] for s in starts))
+        table = [None, *range((1 << bits) - 1)]
+        return list(map(table.__getitem__, data.cast({1: "B", 2: "H", 4: "I"}[width])))
+
+
+def fixpoint(
+    layout: BitLayout,
+    cop_pre: Callable[[int], int],
+    won_cop: int,
+    won_robber: int,
+) -> tuple[list[int | None], int]:
+    """Level-synchronous attractor toward the given target bitsets.
+
+    `won_cop`/`won_robber` are the targets with the cop/robber to move; the
+    cop needs one winning option (`cop_pre`), the robber is won when every
+    option is (`layout.robber_pre`).  Round L labels level L.  Returns the
+    levels (`BitLayout.levels` order) and the number of rounds run, the last
+    of which adds nothing.
+    """
+    planes: tuple[list[int], list[int]] = ([], [])
+
+    def record(t: int, new: int, value: int) -> None:
+        p = planes[t]
+        b = 0
+        while value:
+            if value & 1:
+                while len(p) <= b:
+                    p.append(0)
+                p[b] |= new
+            value >>= 1
+            b += 1
+
+    record(0, won_cop, 1)
+    record(1, won_robber, 1)
+    rounds = 0
+    while True:
+        rounds += 1
+        new_cop = cop_pre(won_robber) & ~won_cop
+        new_robber = layout.robber_pre(won_cop) & ~won_robber
+        if not (new_cop or new_robber):
+            return layout.levels(planes), rounds
+        won_cop |= new_cop
+        won_robber |= new_robber
+        record(0, new_cop, rounds + 1)
+        record(1, new_robber, rounds + 1)
 
 
 @dataclass
@@ -151,6 +309,7 @@ class SolveResult:
 
     arena: Arena
     level: list[int | None]
+    iterations: int  # fixpoint rounds run
 
     def is_cop_win(self, idx: int) -> bool:
         return self.level[idx] is not None
@@ -192,72 +351,65 @@ class SolveResult:
         return None if best is None else (best + 1) // 2
 
 
-def attractor(
-    total: int,
-    successors: Callable[[int], list[int]],
-    is_target: Callable[[int], bool],
-    is_max: Callable[[int], bool],
-) -> list[int | None]:
-    """Counter-based attractor over states 0..total-1 toward the target states.
-
-    A MAX state needs one successor in the attractor, any other state needs
-    all of them.  Returns each state's optimal distance to the targets in
-    moves (MAX minimizing, the opponent maximizing), or None outside the
-    attractor.
-    """
-    preds: list[list[int]] = [[] for _ in range(total)]
-    succ_count = [0] * total
-    level: list[int | None] = [None] * total
-    queue: deque[int] = deque()
-    for s in range(total):
-        if is_target(s):
-            level[s] = 0
-            queue.append(s)
-            continue
-        succ = successors(s)
-        succ_count[s] = len(succ)
-        for t in succ:
-            preds[t].append(s)
-    while queue:
-        t = queue.popleft()
-        lt = level[t]
-        for s in preds[t]:
-            if level[s] is not None:
-                continue
-            if is_max(s):
-                level[s] = lt + 1
-                queue.append(s)
-            else:
-                succ_count[s] -= 1
-                if succ_count[s] == 0:
-                    # t finalized last and BFS order is level order, so lt is the max
-                    level[s] = lt + 1
-                    queue.append(s)
-    return level
-
-
 def solve(arena: Arena) -> SolveResult:
     """Attractor of the capture states, with the cops as the MAX player."""
-    return SolveResult(
-        arena, attractor(arena.total, arena.successors, arena.is_capture, arena.is_cop_owned)
-    )
+    variant = arena.variant
+    layout = BitLayout(arena.graph, arena.ref_bits, arena.parities, variant.cops)
+    symmetrize = layout.symmetrizer() if variant.cops >= 2 else None
+
+    def cop_pre(won: int) -> int:
+        # the cops act one at a time in sorted order, so pull back from the last
+        for j in reversed(range(variant.cops)):
+            won = layout.cop_step(won, j, variant.push)
+        return symmetrize(won) if symmetrize else won
+
+    capture = layout.capture()
+    level, iterations = fixpoint(layout, cop_pre, capture, capture)
+    # placement chain: the robber (MIN) picks a start, then the cops (MAX) a cfg
+    n = arena.graph.n
+    placed = []
+    for cfg in arena.cfgs:
+        start = arena.play_index(arena.initial_parity, cfg, 0, 0)
+        replies = level[start:start + 2 * n:2]
+        placed.append(None if None in replies else 1 + max(replies))
+    wins = [lv for lv in placed if lv is not None]
+    level.append(1 + min(wins) if wins else None)
+    level.extend(placed)
+    return SolveResult(arena, level, iterations)
+
+
+def _arena_state(arena: Arena, idx: int) -> GameState:
+    if idx == arena.root:
+        return GameState(arena.initial_parity, None, None, Turn.COP_PLACEMENT)
+    if idx > arena.root:
+        cfg = arena.cfgs[idx - arena.root - 1]
+        return GameState(arena.initial_parity, cfg, None, Turn.ROBBER_PLACEMENT)
+    parity, cfg, robber, turn = arena.decode_play(idx)
+    return GameState(parity, cfg, robber, Turn.ROBBER if turn else Turn.COP)
 
 
 def audit_levels(result: SolveResult) -> None:
-    """Re-check the fixpoint equations at every state; raises on any mismatch."""
+    """Re-check the fixpoint equations at every state against `engine.Game`.
+
+    Successors come from the rules (`legal_actions` and `apply`), not from
+    the kernel, so this cross-checks the two; raises on any mismatch.
+    """
     arena = result.arena
     level = result.level
+    game = Game(OrientedGraph(arena.graph, arena.ref_bits, arena.initial_parity), arena.variant)
     for s in range(arena.total):
-        if arena.is_capture(s):
-            assert level[s] == 0
-            continue
-        succ = arena.successors(s)
-        succ_levels = [level[t] for t in succ]
-        if arena.is_cop_owned(s):
-            wins = [lv for lv in succ_levels if lv is not None]
-            expect = 1 + min(wins) if wins else None
+        state = _arena_state(arena, s)
+        if state.captured:
+            expect = 0
         else:
-            expect = None if any(lv is None for lv in succ_levels) else 1 + max(succ_levels)
+            succ_levels = [
+                level[arena.state_index(game.apply(state, a))] for a in game.legal_actions(state)
+            ]
+            if state.turn in (Turn.COP_PLACEMENT, Turn.COP):
+                wins = [lv for lv in succ_levels if lv is not None]
+                expect = 1 + min(wins) if wins else None
+            else:
+                expect = None if None in succ_levels else 1 + max(succ_levels)
         if level[s] != expect:
             raise AssertionError(f"fixpoint violated at state {s}: {level[s]} != {expect}")
 
@@ -324,4 +476,3 @@ class OptimalRobber(_OptimalBase):
             if best is None or lv > best[0]:
                 best = (lv, ordinal, action)
         return best[2]
-

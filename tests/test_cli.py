@@ -28,6 +28,7 @@ class TestSolve:
             "cops": 1,
             "capture_rounds": 2,
             "states": 76,
+            "iterations": 5,
         }
 
     def test_robber_win_exit_2(self, tmp_path):

@@ -2,10 +2,10 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pushcops.engine import Game, GameVariant, PushAbility, Turn, play_match
+from pushcops.engine import Game, GameState, GameVariant, PushAbility, Turn, play_match
 from pushcops.errors import NotCopWinError, QueriedOnWrongArenaError
 from pushcops.graph import validate_graph
 from pushcops.solver import (
@@ -51,33 +51,8 @@ class TestArena:
 
     def test_wrong_parity_rejected(self):
         arena = Arena(triangle(), GameVariant(PushAbility.NONE, 1))
-        from pushcops.engine import GameState
-
         with pytest.raises(QueriedOnWrongArenaError):
             arena.state_index(GameState(3, (0,), 1, Turn.COP))
-
-    @given(st.integers(0, 10_000), st.integers(3, 5),
-           st.sampled_from(["none", "weak", "strong"]), st.integers(1, 2))
-    @settings(max_examples=30, deadline=None)
-    def test_agrees_with_engine(self, seed, n, push, k):
-        """Dual-route check: native successor lists vs engine legal_actions."""
-        rng = random.Random(seed)
-        og = random_oriented(rng, n)
-        variant = GameVariant(PushAbility(push), k)
-        arena = Arena(og, variant)
-        game = Game(og, variant)
-        for _ in range(15):
-            idx = rng.randrange(arena.total)
-            if idx == arena.root or idx > arena.n_play:
-                continue
-            parity, cfg, robber, turn = arena.decode_play(idx)
-            from pushcops.engine import GameState
-
-            state = GameState(parity, cfg, robber, Turn.COP if turn == 0 else Turn.ROBBER)
-            via_engine = {
-                arena.state_index(game.apply(state, a)) for a in game.legal_actions(state)
-            }
-            assert via_engine == set(arena.successors(idx))
 
 
 class TestSolve:
@@ -105,11 +80,20 @@ class TestSolve:
                 query(2)
 
     @given(st.integers(0, 10_000), st.integers(3, 5),
-           st.sampled_from(["none", "weak", "strong"]))
-    @settings(max_examples=20, deadline=None)
-    def test_fixpoint_audit(self, seed, n, push):
+           st.sampled_from(["none", "weak", "strong"]), st.integers(1, 2))
+    @settings(max_examples=30, deadline=None)
+    @example(7, 4, "weak", 2)  # both need the levels of unsorted cop tuples mid-round
+    @example(61, 5, "strong", 2)
+    def test_fixpoint_audit(self, seed, n, push, k):
+        """The kernel's levels satisfy the fixpoint equations of engine.Game."""
         og = random_oriented(random.Random(seed), n)
-        audit_levels(solve(Arena(og, GameVariant(PushAbility(push), 1))))
+        audit_levels(solve(Arena(og, GameVariant(PushAbility(push), k))))
+
+    @pytest.mark.parametrize("push", ["none", "weak", "strong"])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_fixpoint_audit_three_cops(self, seed, push):
+        og = random_oriented(random.Random(seed), 3)
+        audit_levels(solve_game(og, GameVariant(PushAbility(push), 3)))
 
     def test_cop_number_directed_cycle(self):
         og = directed_cycle(5)
@@ -118,6 +102,40 @@ class TestSolve:
 
     def test_cop_number_none_when_exceeded(self):
         assert cop_number(triangle(), PushAbility.NONE, 1) is None
+
+
+class TestKernelEdgeCases:
+    @pytest.mark.parametrize("push", ["none", "weak", "strong"])
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("n,arcs,rounds", [(1, [], (0, 0)), (2, [(0, 1)], (1, 0))])
+    def test_single_parity_and_at_most_one_edge(self, n, arcs, rounds, k, push):
+        result = solve_game(validate_graph(n, arcs), GameVariant(PushAbility(push), k))
+        audit_levels(result)
+        assert result.root_win and result.capture_rounds == rounds[k - 1]
+
+    def test_no_push_arcs_follow_initial_parity(self):
+        # 0 -> 1 -> 2 is a one-cop win; pushing 2 makes 0 and 2 sources, and
+        # the robber sits on whichever one the cop did not take
+        path = validate_graph(3, [(0, 1), (1, 2)])
+        for og, win in ((path, True), (path.push(2), False)):
+            result = solve_game(og, GameVariant(PushAbility.NONE, 1))
+            audit_levels(result)
+            assert result.root_win == win
+
+    def test_first_cops_push_opens_arc_for_second_cop(self):
+        # both cops on 0, robber on 1, arc 1 -> 0: cop 0 pushes 0, cop 1 walks 0 -> 1
+        og = validate_graph(2, [(1, 0)])
+        result = solve_game(og, GameVariant(PushAbility.WEAK, 2))
+        audit_levels(result)
+        assert result.level[result.arena.play_index(og.parity, (0, 0), 1, 0)] == 1
+
+    def test_levels_above_255(self):
+        n = 140
+        path = validate_graph(n, [(v, v + 1) for v in range(n - 1)])
+        result = solve_game(path, GameVariant(PushAbility.NONE, 1))
+        audit_levels(result)
+        assert result.capture_rounds == n - 1
+        assert result.level[result.arena.root] == 2 * n - 1
 
 
 class TestOptimalPolicies:
