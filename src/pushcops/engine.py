@@ -116,21 +116,24 @@ class Game:
         self.graph = og.graph
         self.ref_bits = og.ref_bits
         self.variant = variant
-        self._out_cache: dict[int, tuple[tuple[int, ...], ...]] = {}
+        # one orientation per visited parity, so strategies and the engine
+        # share its neighbour tables
+        self._orientations: dict[int, OrientedGraph] = {og.parity: og}
 
     def initial_state(self) -> GameState:
         return GameState(self.og0.parity, None, None, Turn.COP_PLACEMENT)
 
+    def _oriented(self, parity: int) -> OrientedGraph:
+        og = self._orientations.get(parity)
+        if og is None:
+            og = self._orientations[parity] = OrientedGraph(self.graph, self.ref_bits, parity)
+        return og
+
     def orientation(self, state: GameState) -> OrientedGraph:
-        return OrientedGraph(self.graph, self.ref_bits, state.parity)
+        return self._oriented(state.parity)
 
     def out_neighbors(self, parity: int, v: int) -> tuple[int, ...]:
-        table = self._out_cache.get(parity)
-        if table is None:
-            og = OrientedGraph(self.graph, self.ref_bits, parity)
-            table = tuple(og.out_neighbors(w) for w in range(self.graph.n))
-            self._out_cache[parity] = table
-        return table[v]
+        return self._oriented(parity).out_neighbors(v)
 
     def _agent_options(self, parity: int, pos: int) -> list[AgentAction]:
         opts: list[AgentAction] = [Stay()]

@@ -156,7 +156,8 @@ class OrientedGraph:
     def edge_flipped(self, e: int) -> int:
         """1 if edge e currently points high->low endpoint, else 0."""
         u, v = self.graph.edges[e]
-        return ((self.ref_bits >> e) & 1) ^ parity_bit(self.parity, u) ^ parity_bit(self.parity, v)
+        p = self.parity << 1  # bit w of p is parity_bit(self.parity, w)
+        return ((self.ref_bits >> e) ^ (p >> u) ^ (p >> v)) & 1
 
     def arc(self, e: int) -> tuple[int, int]:
         u, v = self.graph.edges[e]
@@ -166,18 +167,36 @@ class OrientedGraph:
         for e in range(self.m):
             yield self.arc(e)
 
+    @property
+    def _tables(self) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+        """(out, in) neighbour tuples per vertex, built on first use.
+
+        Edges are sorted (u < v) pairs, so appending in edge order leaves every
+        list ascending, the `adj` order that strategy tie-breaks rely on.
+        """
+        tables = self.__dict__.get("_tables_cache")
+        if tables is None:
+            outs: list[list[int]] = [[] for _ in range(self.n)]
+            ins: list[list[int]] = [[] for _ in range(self.n)]
+            for e, (u, v) in enumerate(self.graph.edges):
+                if self.edge_flipped(e):
+                    u, v = v, u
+                outs[u].append(v)
+                ins[v].append(u)
+            tables = (tuple(map(tuple, outs)), tuple(map(tuple, ins)))
+            self.__dict__["_tables_cache"] = tables
+        return tables
+
     def has_arc(self, u: int, v: int) -> bool:
-        if not self.graph.has_edge(u, v):
-            return False
-        return self.arc(self.graph.edge_index(u, v)) == (u, v)
+        return self.graph.has_edge(u, v) and v in self._tables[0][u]
 
     def out_neighbors(self, v: int) -> tuple[int, ...]:
         self.graph.check_vertex(v)
-        return tuple(w for w in self.graph.adj[v] if self.arc(self.graph.edge_index(v, w)) == (v, w))
+        return self._tables[0][v]
 
     def in_neighbors(self, v: int) -> tuple[int, ...]:
         self.graph.check_vertex(v)
-        return tuple(w for w in self.graph.adj[v] if self.arc(self.graph.edge_index(v, w)) == (w, v))
+        return self._tables[1][v]
 
     def out_degree(self, v: int) -> int:
         return len(self.out_neighbors(v))
@@ -224,13 +243,14 @@ def is_dag(og: OrientedGraph) -> tuple[bool, list[int]]:
     Returns (True, topological order) or (False, directed cycle).
     """
     n = og.n
-    indeg = [og.in_degree(v) for v in range(n)]
+    outs, ins = og._tables
+    indeg = [len(a) for a in ins]
     order = [v for v in range(n) if indeg[v] == 0]
     i = 0
     while i < len(order):
         v = order[i]
         i += 1
-        for w in og.out_neighbors(v):
+        for w in outs[v]:
             indeg[w] -= 1
             if indeg[w] == 0:
                 order.append(w)
@@ -245,17 +265,18 @@ def is_dag(og: OrientedGraph) -> tuple[bool, list[int]]:
     while v not in seen:
         seen[v] = len(walk)
         walk.append(v)
-        v = next(w for w in og.in_neighbors(v) if w in left)
+        v = next(w for w in ins[v] if w in left)
     return False, walk[seen[v]:][::-1]
 
 
 def reachable_from(og: OrientedGraph, u: int) -> frozenset[int]:
     og.graph.check_vertex(u)
+    outs = og._tables[0]
     seen = {u}
     stack = [u]
     while stack:
         v = stack.pop()
-        for w in og.out_neighbors(v):
+        for w in outs[v]:
             if w not in seen:
                 seen.add(w)
                 stack.append(w)

@@ -99,7 +99,7 @@ class StrongPushDagStrategy(Strategy):
 
     def __init__(self, og: OrientedGraph):
         dag = dag_push_target(og)  # raises NotPushableToDagError
-        self.target, seq = normalize_single_source(dag)
+        self.target = normalize_single_source(dag)[0]
         self.source = single_source(self.target)
         self.push_budget = len(dag_push_delta(og, self.target))
         self._chase: DagChaseStrategy | None = None

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from pushcops.engine import (
     Game,
+    GameState,
     GameVariant,
     MoveTo,
     PlaceCops,
@@ -21,7 +22,7 @@ from pushcops.engine import (
     play_match,
 )
 from pushcops.errors import IllegalActionError, IllegalStrategyActionError
-from pushcops.graph import validate_graph
+from pushcops.graph import OrientedGraph, same_orientation, validate_graph
 from pushcops.strategies import RandomRobber, Strategy
 
 from conftest import random_oriented
@@ -120,6 +121,19 @@ class TestApply:
         nxt = game.apply(state, (Push(1), MoveTo(0)))
         assert nxt.cops == (0, 0)
         assert nxt.parity == triangle().push(1).parity
+
+
+class TestOrientationCache:
+    def test_one_orientation_per_parity(self):
+        og = validate_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
+        game = Game(og, GameVariant(PushAbility.STRONG, 1))
+        for p in range(1 << (og.n - 1)):
+            state = GameState(p, (0,), 1, Turn.COP)
+            first = game.orientation(state)
+            assert game.orientation(state) is first
+            assert same_orientation(first, OrientedGraph(og.graph, og.ref_bits, p))
+            for v in range(og.n):
+                assert game.out_neighbors(p, v) == first.out_neighbors(v)
 
 
 class TestRoundLimitAndTrace:

@@ -178,6 +178,27 @@ class TestDigraphQueries:
         assert reachable_from(og, 2) == {2}
         assert is_trapped(og, 2) and not is_trapped(og, 0)
 
+    @given(st.integers(0, 10_000), st.integers(2, 7))
+    @settings(max_examples=40, deadline=None)
+    def test_neighbour_tables_match_arcs(self, seed, n):
+        """Oracle: every neighbour query agrees with arcs(), in ascending order."""
+        rng = random.Random(seed)
+        base = random_oriented(rng, n)
+        for p in range(1 << (n - 1)):
+            og = base.with_parity(p)
+            arcs = set(og.arcs())
+            for v in range(n):
+                outs = tuple(w for w in range(n) if (v, w) in arcs)
+                ins = tuple(w for w in range(n) if (w, v) in arcs)
+                assert og.out_neighbors(v) == outs and og.in_neighbors(v) == ins
+                assert og.out_degree(v) == len(outs) and og.in_degree(v) == len(ins)
+                assert [og.has_arc(v, w) for w in range(n)] == [w in outs for w in range(n)]
+            for bad in (-1, n):
+                with pytest.raises(VertexOutOfRangeError):
+                    og.out_neighbors(bad)
+                with pytest.raises(VertexOutOfRangeError):
+                    og.in_neighbors(bad)
+
     def test_shortest_path(self):
         g = UnderlyingGraph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
         assert g.distance(0, 2) == 2
