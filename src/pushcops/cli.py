@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import resource
 import sys
 
 from .engine import GameVariant, PushAbility, play_match
@@ -56,6 +57,11 @@ def cmd_solve(args) -> int:
                     "capture_rounds": result.capture_rounds,
                     "states": result.arena.total,
                     "iterations": result.iterations,
+                    "max_level": result.max_level,
+                    # ru_maxrss is in KiB on Linux
+                    "peak_rss_mb": round(
+                        resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1
+                    ),
                 }
             )
         )

@@ -21,7 +21,7 @@ from __future__ import annotations
 from .errors import InternalInvariantViolation, NotFourRegularError
 from .engine import Game, GameState, MoveTo, PlaceCops, Push, Stay, Turn
 from .graph import OrientedGraph, UnderlyingGraph, is_trapped, push_parity
-from .solver import BitLayout, fixpoint
+from .solver import BitLayout, fixpoint, read_level
 from .strategies import Strategy, TrapCaptureStrategy
 
 
@@ -32,19 +32,25 @@ class _ScriptMismatch(Exception):
 def push_trap_policy(graph: UnderlyingGraph, ref_bits: int):
     """Exact solve of the push-only trapping game, ignoring the cop's position.
 
-    States are (parity, robber vertex, mover), numbered (parity * n + robber)
-    * 2 + mover as in the solver's fixpoint with no cops.  The cop may pass
-    or push any vertex; the robber may stay or move.  Target: robber trapped
-    on the cop's turn.  Returns (levels, policy) where policy maps winning cop
-    states to the vertex to push (None = pass).
+    States are (parity, robber vertex, mover), read at bit parity * n + robber
+    of the mover's level planes from the solver's fixpoint with no cops.  The
+    cop may pass or push any vertex; the robber may stay or move.  Target:
+    robber trapped on the cop's turn.  Returns (levels, policy) where policy
+    maps winning cop states to the vertex to push (None = pass).
     """
     n = graph.n
     layout = BitLayout(graph, ref_bits, list(range(1 << max(n - 1, 0))), 0)
     can_move = 0
     for _, m in layout.robber_moves:
         can_move |= m
-    level, _ = fixpoint(layout, lambda won: won | layout.any_push(won), layout.full ^ can_move, 0)
-    levels = {(*divmod(s >> 1, n), s & 1): lv for s, lv in enumerate(level) if lv is not None}
+    planes, _ = fixpoint(layout, lambda won: won | layout.any_push(won), layout.full ^ can_move, 0)
+    levels: dict[tuple[int, int, int], int] = {}
+    for p in range(layout.blocks):
+        for r in range(n):
+            for t in (0, 1):
+                lv = read_level(planes[t], p * n + r)
+                if lv is not None:
+                    levels[(p, r, t)] = lv
     policy: dict[tuple[int, int, int], int | None] = {}
     for (p, r, t), lv in levels.items():
         if t != 0 or lv == 0:

@@ -108,6 +108,7 @@ def enumerate_connected_graphs(
 
 
 def _spanning_tree_edges(g: UnderlyingGraph) -> set[int]:
+    eindex = g._eindex
     seen = {0}
     tree: set[int] = set()
     stack = [0]
@@ -116,7 +117,7 @@ def _spanning_tree_edges(g: UnderlyingGraph) -> set[int]:
         for w in g.adj[v]:
             if w not in seen:
                 seen.add(w)
-                tree.add(g.edge_index(v, w))
+                tree.add(eindex[(v, w) if v < w else (w, v)])
                 stack.append(w)
     return tree
 
@@ -134,12 +135,12 @@ def enumerate_orientations(g: UnderlyingGraph, per_class: bool = False) -> Itera
         for ref in range(1 << g.m):
             yield OrientedGraph(g, ref, 0)
         return
-    free = sorted(set(range(g.m)) - _spanning_tree_edges(g))
-    for bits in range(1 << len(free)):
-        ref = 0
-        for i, e in enumerate(free):
-            if (bits >> i) & 1:
-                ref |= 1 << e
+    tree = _spanning_tree_edges(g)
+    refs = [0]  # refs[bits] sets the i-th non-tree edge for each bit i of bits
+    for e in range(g.m):
+        if e not in tree:
+            refs += [r | 1 << e for r in refs]
+    for ref in refs:
         yield OrientedGraph(g, ref, 0)
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -19,11 +18,24 @@ from .errors import QueriedOnWrongArenaError, TooLargeError
 from .engine import Game, GameState, GameVariant, PushAbility, Turn
 from .graph import OrientedGraph, UnderlyingGraph, parity_bit
 
-# Memory budget of one solve: about 2 GB at 100 B per arena state.  The
-# tracemalloc peak was 18.9 B/state on C11(1,2) with strong push and 1 cop
-# (247,820 states, 4.68 MB).  With k >= 2 the bitsets also hold the unsorted
-# cop tuples: 35-46 B/state for 2 cops, 87 B/state for 3 strong-push cops on K7.
+# Memory budget of one solve: about 2 GB at 100 B per arena state.  Levels
+# stay as bit planes (about 1 B/state retained), so the per-arc move masks
+# of `BitLayout` dominate the tracemalloc peak: 12.0 B/state on C11(1,2)
+# with strong push and 1 cop (247,820 states, 2.98 MB), 11.0 on C10(1,2)
+# with weak push.  With k >= 2 every bitset also covers the unsorted cop
+# tuples and each cop has its own masks: 17.2 B/state for 2 strong-push cops
+# on C7(1,2), 16.2 for 2 weak-push cops on Q3, 67.0 for 3 strong-push cops
+# on K7.  The masks grow with the arc count, so denser graphs with 3 cops
+# go higher still; the budget keeps that headroom.
 STATE_CAP = 2 * 10**9 // 100
+
+
+def _tuple_index(cfg: tuple[int, ...], n: int) -> int:
+    """An ordered cop tuple read as base-n digits, cop 0 most significant."""
+    i = 0
+    for c in cfg:
+        i = i * n + c
+    return i
 
 
 class Arena:
@@ -47,6 +59,9 @@ class Arena:
         self.par_index = {p: i for i, p in enumerate(self.parities)}
         self.cfgs = list(itertools.combinations_with_replacement(range(n), variant.cops))
         self.cfg_index = {c: i for i, c in enumerate(self.cfgs)}
+        # bit positions of the level planes: (parity block, ordered tuple, robber)
+        self.tuples = n ** variant.cops
+        self.tuple_at = {c: _tuple_index(c, n) for c in self.cfgs}
         self.n_play = len(self.parities) * len(self.cfgs) * n * 2
         self.total = total
         self.root = self.n_play
@@ -100,12 +115,19 @@ def _pull(x: int, d: int) -> int:
     return x >> d if d >= 0 else x << -d
 
 
-_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+def read_level(planes: list[bytes], pos: int) -> int | None:
+    """The level at bit `pos` of little-endian planes holding bit b of level + 1."""
+    i, s = pos >> 3, pos & 7
+    v = 0
+    for row in reversed(planes):
+        v = v << 1 | (row[i] >> s & 1)
+    return v - 1 if v else None
 
 
-def _spread(x: int, size: int) -> int:
-    """Byte i of the result is bit i of x, for i < size."""
-    return int.from_bytes(format(x, f"0{size}b").encode("ascii").translate(_BIT_BYTES), "big")
+def _read_bits(row: bytes, start: int, width: int) -> int:
+    """Bits start .. start + width - 1 of a little-endian plane, as one int."""
+    chunk = int.from_bytes(row[start >> 3:(start + width + 7) >> 3], "little")
+    return chunk >> (start & 7) & ((1 << width) - 1)
 
 
 class BitLayout:
@@ -198,10 +220,10 @@ class BitLayout:
 
     def sorted_tuples(self) -> list[int]:
         """Tuple indices of the sorted cop tuples, in increasing order."""
-        n, k = self.n, self.k
+        n = self.n
         return [
-            sum(c * n ** (k - 1 - j) for j, c in enumerate(cfg))
-            for cfg in itertools.combinations_with_replacement(range(n), k)
+            _tuple_index(cfg, n)
+            for cfg in itertools.combinations_with_replacement(range(n), self.k)
         ]
 
     def symmetrizer(self) -> Callable[[int], int]:
@@ -232,52 +254,27 @@ class BitLayout:
 
         return symmetrize
 
-    def levels(self, planes: tuple[list[int], list[int]]) -> list[int | None]:
-        """Levels in (position, turn) order over sorted cop tuples only.
-
-        `planes[t][b]` holds bit b of level + 1 for the positions of turn t;
-        0 means unreached.
-        """
-        size = self.size
-        bits = max(len(planes[0]), len(planes[1]))
-        width = 1 if bits <= 8 else 2 if bits <= 16 else 4
-        buf = bytearray(2 * width * size)
-        for t, turn_planes in enumerate(planes):
-            for lane in range(width):
-                acc = 0
-                for b in range(8 * lane, min(8 * lane + 8, len(turn_planes))):
-                    if turn_planes[b]:
-                        acc |= _spread(turn_planes[b], size) << (b - 8 * lane)
-                byte = lane if sys.byteorder == "little" else width - 1 - lane
-                buf[t * width + byte::2 * width] = acc.to_bytes(size, "little")
-        data = memoryview(buf)
-        if self.k >= 2:
-            run = 2 * width * self.n  # one cop tuple: every robber, both turns
-            per_block = self.block // self.n
-            tuples = self.sorted_tuples()
-            starts = [(p * per_block + c) * run for p in range(self.blocks) for c in tuples]
-            data = memoryview(b"".join(data[s:s + run] for s in starts))
-        table = [None, *range((1 << bits) - 1)]
-        return list(map(table.__getitem__, data.cast({1: "B", 2: "H", 4: "I"}[width])))
-
 
 def fixpoint(
     layout: BitLayout,
     cop_pre: Callable[[int], int],
     won_cop: int,
     won_robber: int,
-) -> tuple[list[int | None], int]:
+) -> tuple[tuple[list[bytes], list[bytes]], int]:
     """Level-synchronous attractor toward the given target bitsets.
 
     `won_cop`/`won_robber` are the targets with the cop/robber to move; the
     cop needs one winning option (`cop_pre`), the robber is won when every
     option is (`layout.robber_pre`).  Round L labels level L.  Returns the
-    levels (`BitLayout.levels` order) and the number of rounds run, the last
-    of which adds nothing.
+    per-turn planes, `planes[t][b]` holding bit b of level + 1 (0 means
+    unreached) at every layout position as little-endian bytes, and the
+    number of rounds run, the last of which adds nothing.
     """
     planes: tuple[list[int], list[int]] = ([], [])
 
     def record(t: int, new: int, value: int) -> None:
+        if not new:
+            return
         p = planes[t]
         b = 0
         while value:
@@ -296,32 +293,90 @@ def fixpoint(
         new_cop = cop_pre(won_robber) & ~won_cop
         new_robber = layout.robber_pre(won_cop) & ~won_robber
         if not (new_cop or new_robber):
-            return layout.levels(planes), rounds
+            break
         won_cop |= new_cop
         won_robber |= new_robber
         record(0, new_cop, rounds + 1)
         record(1, new_robber, rounds + 1)
+    nbytes = (layout.size + 7) // 8
+    return ([x.to_bytes(nbytes, "little") for x in planes[0]],
+            [x.to_bytes(nbytes, "little") for x in planes[1]]), rounds
+
+
+def _highest(planes: list[int], ties: int) -> int:
+    """Highest level + 1 over the positions set in `ties` (0 if none is reached)."""
+    v = 0
+    for b in reversed(range(len(planes))):
+        hit = planes[b] & ties
+        if hit:
+            ties = hit  # keep the positions that still tie for the top
+            v |= 1 << b
+    return v
+
+
+def _worst_replies(arena: Arena, turn0: list[bytes], pi: int) -> list[int | None]:
+    """Per cop configuration at parity block `pi`, cops to move: the highest
+    level over robber vertices, or None if some robber vertex is unreached."""
+    n = arena.graph.n
+    block = [_read_bits(row, pi * arena.tuples * n, arena.tuples * n) for row in turn0]
+    reached = 0
+    for x in block:
+        reached |= x
+    out: list[int | None] = []
+    for cfg in arena.cfgs:
+        lanes = ((1 << n) - 1) << arena.tuple_at[cfg] * n
+        out.append(_highest(block, lanes) - 1 if reached & lanes == lanes else None)
+    return out
 
 
 @dataclass
 class SolveResult:
-    """Win labels and capture-time levels (half-moves) for every arena state."""
+    """Win labels and capture-time levels (half-moves) for every arena state.
+
+    Play levels stay as the fixpoint's bit planes (see `fixpoint`), indexed
+    by (parity block, ordered cop tuple, robber) position; `placed` holds the
+    cop-placement root and then one robber-placement level per cop
+    configuration, in `arena.cfgs` order.
+    """
 
     arena: Arena
-    level: list[int | None]
+    planes: tuple[list[bytes], list[bytes]]
+    placed: list[int | None]
     iterations: int  # fixpoint rounds run
 
-    def is_cop_win(self, idx: int) -> bool:
-        return self.level[idx] is not None
+    def level_of(self, state: GameState) -> int | None:
+        """Capture level of one state, or None if it is a robber win."""
+        arena = self.arena
+        if state.turn is Turn.COP_PLACEMENT:
+            return self.placed[0]
+        if state.turn is Turn.ROBBER_PLACEMENT:
+            return self.placed[1 + arena.cfg_index[state.cops]]
+        pi = arena.par_index.get(state.parity)
+        if pi is None:
+            raise QueriedOnWrongArenaError(f"parity {state.parity} not in arena")
+        pos = (pi * arena.tuples + arena.tuple_at[state.cops]) * arena.graph.n + state.robber
+        return read_level(self.planes[state.turn is Turn.ROBBER], pos)
+
+    @property
+    def level(self) -> list[int | None]:
+        """Every state's level in arena index order, built on each access."""
+        return [self.level_of(_arena_state(self.arena, s)) for s in range(self.arena.total)]
+
+    @property
+    def max_level(self) -> int:
+        """Highest capture level of any cop-win state."""
+        play = [_highest([int.from_bytes(x, "little") for x in planes], -1) - 1
+                for planes in self.planes]
+        return max(*play, *(lv for lv in self.placed if lv is not None))
 
     @property
     def root_win(self) -> bool:
-        return self.is_cop_win(self.arena.root)
+        return self.placed[0] is not None
 
     @property
     def capture_rounds(self) -> int | None:
         """Optimal cop-move count from the start of play, or None if robber-win."""
-        root_level = self.level[self.arena.root]
+        root_level = self.placed[0]
         if root_level is None:
             return None
         return (root_level - 2 + 1) // 2
@@ -336,19 +391,11 @@ class SolveResult:
 
     def member_rounds(self, parity: int) -> int | None:
         """Optimal capture rounds from this parity, or None if robber-win."""
-        arena = self.arena
-        n = arena.graph.n
-        if parity not in arena.par_index:
+        pi = self.arena.par_index.get(parity)
+        if pi is None:
             raise QueriedOnWrongArenaError(f"parity {parity} not in arena")
-        best = None
-        for cfg in arena.cfgs:
-            levels = [self.level[arena.play_index(parity, cfg, r, 0)] for r in range(n)]
-            if any(lv is None for lv in levels):
-                continue
-            worst = max(levels)
-            if best is None or worst < best:
-                best = worst
-        return None if best is None else (best + 1) // 2
+        wins = [lv for lv in _worst_replies(self.arena, self.planes[0], pi) if lv is not None]
+        return (min(wins) + 1) // 2 if wins else None
 
 
 def solve(arena: Arena) -> SolveResult:
@@ -364,18 +411,12 @@ def solve(arena: Arena) -> SolveResult:
         return symmetrize(won) if symmetrize else won
 
     capture = layout.capture()
-    level, iterations = fixpoint(layout, cop_pre, capture, capture)
+    planes, iterations = fixpoint(layout, cop_pre, capture, capture)
     # placement chain: the robber (MIN) picks a start, then the cops (MAX) a cfg
-    n = arena.graph.n
-    placed = []
-    for cfg in arena.cfgs:
-        start = arena.play_index(arena.initial_parity, cfg, 0, 0)
-        replies = level[start:start + 2 * n:2]
-        placed.append(None if None in replies else 1 + max(replies))
+    worst = _worst_replies(arena, planes[0], arena.par_index[arena.initial_parity])
+    placed = [None if lv is None else 1 + lv for lv in worst]
     wins = [lv for lv in placed if lv is not None]
-    level.append(1 + min(wins) if wins else None)
-    level.extend(placed)
-    return SolveResult(arena, level, iterations)
+    return SolveResult(arena, planes, [1 + min(wins) if wins else None, *placed], iterations)
 
 
 def _arena_state(arena: Arena, idx: int) -> GameState:
@@ -395,7 +436,6 @@ def audit_levels(result: SolveResult) -> None:
     the kernel, so this cross-checks the two; raises on any mismatch.
     """
     arena = result.arena
-    level = result.level
     game = Game(OrientedGraph(arena.graph, arena.ref_bits, arena.initial_parity), arena.variant)
     for s in range(arena.total):
         state = _arena_state(arena, s)
@@ -403,15 +443,16 @@ def audit_levels(result: SolveResult) -> None:
             expect = 0
         else:
             succ_levels = [
-                level[arena.state_index(game.apply(state, a))] for a in game.legal_actions(state)
+                result.level_of(game.apply(state, a)) for a in game.legal_actions(state)
             ]
             if state.turn in (Turn.COP_PLACEMENT, Turn.COP):
                 wins = [lv for lv in succ_levels if lv is not None]
                 expect = 1 + min(wins) if wins else None
             else:
                 expect = None if None in succ_levels else 1 + max(succ_levels)
-        if level[s] != expect:
-            raise AssertionError(f"fixpoint violated at state {s}: {level[s]} != {expect}")
+        got = result.level_of(state)
+        if got != expect:
+            raise AssertionError(f"fixpoint violated at state {s}: {got} != {expect}")
 
 
 def solve_game(og: OrientedGraph, variant: GameVariant) -> SolveResult:
@@ -441,10 +482,9 @@ class _OptimalBase:
             raise QueriedOnWrongArenaError("strategy queried with a different game")
 
     def _scored(self, game: Game, state: GameState):
-        arena = self.result.arena
+        level_of = self.result.level_of
         for ordinal, action in enumerate(game.legal_actions(state)):
-            succ = game.apply(state, action)
-            yield self.result.level[arena.state_index(succ)], ordinal, action
+            yield level_of(game.apply(state, action)), ordinal, action
 
 
 class OptimalCop(_OptimalBase):

@@ -5,6 +5,7 @@ Each strategy instance owns its private memory and referees exactly one match.
 
 from __future__ import annotations
 
+import functools
 import random
 
 from .errors import (
@@ -14,7 +15,7 @@ from .errors import (
     RobberNotTrappedError,
 )
 from .engine import Game, GameState, GameVariant, MoveTo, PlaceCops, PlaceRobber, Push, Stay, Turn
-from .graph import OrientedGraph, is_dag, is_trapped, reachable_from
+from .graph import OrientedGraph, UnderlyingGraph, is_dag, is_trapped, reachable_from
 from .pushdag import dag_push_target, normalize_single_source, single_source
 from .solver import OptimalCop, solve_game
 
@@ -98,9 +99,7 @@ class StrongPushDagStrategy(Strategy):
     (ignoring the robber), then chase down the DAG.  Requires strong push."""
 
     def __init__(self, og: OrientedGraph):
-        dag = dag_push_target(og)  # raises NotPushableToDagError
-        self.target = normalize_single_source(dag)[0]
-        self.source = single_source(self.target)
+        self.target, self.source = _class_dag_target(og.graph, og.ref_bits)
         self.push_budget = len(dag_push_delta(og, self.target))
         self._chase: DagChaseStrategy | None = None
         self._trap: TrapCaptureStrategy | None = None
@@ -122,6 +121,18 @@ class StrongPushDagStrategy(Strategy):
         if self._chase is None:
             self._chase = DagChaseStrategy(self.target, self.source)
         return self._chase(game, state)
+
+
+@functools.lru_cache(maxsize=1)
+def _class_dag_target(graph: UnderlyingGraph, ref_bits: int) -> tuple[OrientedGraph, int | None]:
+    """The push class's normalized single-source DAG and its source.
+
+    Every member of a class shares them; callers walk a class member by
+    member, so one cached class serves them all.
+    """
+    dag = dag_push_target(OrientedGraph(graph, ref_bits, 0))  # raises NotPushableToDagError
+    target = normalize_single_source(dag)[0]
+    return target, single_source(target)
 
 
 def dag_push_delta(current: OrientedGraph, target: OrientedGraph) -> list[int]:

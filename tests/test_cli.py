@@ -21,6 +21,7 @@ class TestSolve:
         code = main(["solve", "--input", triangle_file(tmp_path), "--push", "strong", "--json"])
         out = json.loads(capsys.readouterr().out)
         assert code == 0
+        assert out.pop("peak_rss_mb") > 0
         assert out == {
             "schema": 1,
             "verdict": "cop-win",
@@ -29,6 +30,7 @@ class TestSolve:
             "capture_rounds": 2,
             "states": 76,
             "iterations": 5,
+            "max_level": 5,
         }
 
     def test_robber_win_exit_2(self, tmp_path):

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -7,7 +8,8 @@ from hypothesis import strategies as st
 
 from pushcops.engine import Game, GameState, GameVariant, PushAbility, Turn, play_match
 from pushcops.errors import NotCopWinError, QueriedOnWrongArenaError
-from pushcops.graph import validate_graph
+from pushcops.generators import circulant
+from pushcops.graph import OrientedGraph, validate_graph
 from pushcops.solver import (
     Arena,
     OptimalCop,
@@ -136,6 +138,49 @@ class TestKernelEdgeCases:
         audit_levels(result)
         assert result.capture_rounds == n - 1
         assert result.level[result.arena.root] == 2 * n - 1
+
+
+class TestLevelReaders:
+    @given(st.integers(0, 10_000), st.integers(2, 5),
+           st.sampled_from(["none", "weak", "strong"]), st.integers(1, 2))
+    @settings(max_examples=40, deadline=None)
+    def test_block_readers_match_single_lookups(self, seed, n, push, k):
+        """member_rounds/member_win, the placement chain and max_level agree
+        with values rebuilt from level_of over every cop tuple and robber."""
+        og = random_oriented(random.Random(seed), n)
+        result = solve_game(og, GameVariant(PushAbility(push), k))
+        arena = result.arena
+
+        def worst(parity, cfg):
+            levels = [result.level_of(GameState(parity, cfg, r, Turn.COP)) for r in range(n)]
+            return None if None in levels else max(levels)
+
+        for p in arena.parities:
+            wins = [w for w in (worst(p, cfg) for cfg in arena.cfgs) if w is not None]
+            rounds = (min(wins) + 1) // 2 if wins else None
+            assert result.member_rounds(p) == rounds
+            assert result.member_win(p) == (rounds is not None)
+        placed = [None if w is None else 1 + w for w in (worst(og.parity, c) for c in arena.cfgs)]
+        for cfg, lv in zip(arena.cfgs, placed):
+            state = GameState(og.parity, cfg, None, Turn.ROBBER_PLACEMENT)
+            assert result.level_of(state) == lv
+        wins = [lv for lv in placed if lv is not None]
+        root = GameState(og.parity, None, None, Turn.COP_PLACEMENT)
+        assert result.level_of(root) == (1 + min(wins) if wins else None)
+        assert result.max_level == max(lv for lv in result.level if lv is not None)
+
+    def test_bytes_per_state(self):
+        """A C11(1,2) strong-push one-cop solve peaks below 15 B/state (tracemalloc)."""
+        rng = random.Random(0)
+        g = circulant(11, (1, 2))
+        og = OrientedGraph(g, rng.getrandbits(g.m), rng.getrandbits(g.n - 1))
+        tracemalloc.start()
+        try:
+            result = solve_game(og, GameVariant(PushAbility.STRONG, 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / result.arena.total < 15
 
 
 class TestOptimalPolicies:

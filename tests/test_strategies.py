@@ -6,14 +6,21 @@ from hypothesis import strategies as st
 
 from pushcops.engine import GameVariant, PushAbility, play_match
 from pushcops.errors import NotSingleSourceDagError, RobberNotTrappedError
-from pushcops.graph import is_dag, validate_graph
-from pushcops.pushdag import dag_push_target, normalize_single_source, single_source
+from pushcops.generators import complete, enumerate_orientations, octahedron
+from pushcops.graph import is_dag, same_orientation, validate_graph
+from pushcops.pushdag import (
+    dag_push_target,
+    find_dag_push_set,
+    normalize_single_source,
+    single_source,
+)
 from pushcops.solver import OptimalRobber, solve_game
 from pushcops.strategies import (
     DagChaseStrategy,
     StayRobber,
     StrongPushDagStrategy,
     TrapCaptureStrategy,
+    dag_push_delta,
 )
 from pushcops.verify import random_trapped_instance
 
@@ -88,3 +95,21 @@ class TestStrongPushDag:
         dag, _ = normalize_single_source(target)
         assert is_dag(strategy.target)[0]
         assert single_source(strategy.target) == strategy.source == single_source(dag)
+
+    @pytest.mark.parametrize("graph", [complete(5), octahedron()], ids=["K5", "octahedron"])
+    def test_class_target_matches_fresh_computation(self, graph):
+        """Every member's target, source and push budget equal a fresh
+        computation, with members of two classes constructed alternately."""
+        reps = [r for r in enumerate_orientations(graph, per_class=True)
+                if find_dag_push_set(r) is not None]
+        first, second = random.Random(5).sample(reps, 2)
+        targets = [StrongPushDagStrategy(rep).target for rep in (first, second)]
+        assert not same_orientation(*targets)
+        for p in range(1 << (graph.n - 1)):
+            for rep in (first, second):
+                member = rep.with_parity(p)
+                strategy = StrongPushDagStrategy(member)
+                target = normalize_single_source(dag_push_target(member))[0]
+                assert same_orientation(strategy.target, target)
+                assert strategy.source == single_source(target)
+                assert strategy.push_budget == len(dag_push_delta(member, target))
