@@ -7,61 +7,16 @@ treat any robber deviation from a forced move as an immediate trap.  One
 endgame requires the cop to physically walk toward a 17-vertex gadget around
 the robber's camp before springing the trap.
 
-Vertex labels can coincide in dense graphs, which can make a scripted line
-inapplicable even though trapping is still forced.  In that case the strategy
-re-derives the endgame from the live orientation: it runs an exact
-backward-induction check over (orientation, robber) pairs restricted to
-push-only cop actions, and follows the resulting forced-trap policy.  If no
-forced trap exists there either, the strategy raises loudly instead of
-guessing.
+A state outside a script's case analysis, or a script that ends without
+trapping the robber, raises `InternalInvariantViolation` instead of guessing.
 """
 
 from __future__ import annotations
 
 from .errors import InternalInvariantViolation, NotFourRegularError
 from .engine import Game, GameState, MoveTo, PlaceCops, Push, Stay, Turn
-from .graph import OrientedGraph, UnderlyingGraph, is_trapped, push_parity
-from .solver import BitLayout, fixpoint, read_level
+from .graph import OrientedGraph, is_trapped
 from .strategies import Strategy, TrapCaptureStrategy
-
-
-class _ScriptMismatch(Exception):
-    """A scripted endgame met a state its case analysis does not cover."""
-
-
-def push_trap_policy(graph: UnderlyingGraph, ref_bits: int):
-    """Exact solve of the push-only trapping game, ignoring the cop's position.
-
-    States are (parity, robber vertex, mover), read at bit parity * n + robber
-    of the mover's level planes from the solver's fixpoint with no cops.  The
-    cop may pass or push any vertex; the robber may stay or move.  Target:
-    robber trapped on the cop's turn.  Returns (levels, policy) where policy
-    maps winning cop states to the vertex to push (None = pass).
-    """
-    n = graph.n
-    layout = BitLayout(graph, ref_bits, list(range(1 << max(n - 1, 0))), 0)
-    can_move = 0
-    for _, m in layout.robber_moves:
-        can_move |= m
-    planes, _ = fixpoint(layout, lambda won: won | layout.any_push(won), layout.full ^ can_move, 0)
-    levels: dict[tuple[int, int, int], int] = {}
-    for p in range(layout.blocks):
-        for r in range(n):
-            for t in (0, 1):
-                lv = read_level(planes[t], p * n + r)
-                if lv is not None:
-                    levels[(p, r, t)] = lv
-    policy: dict[tuple[int, int, int], int | None] = {}
-    for (p, r, t), lv in levels.items():
-        if t != 0 or lv == 0:
-            continue
-        if levels.get((p, r, 1)) == lv - 1:
-            policy[(p, r, 0)] = None  # pass
-        else:
-            policy[(p, r, 0)] = next(
-                v for v in range(n) if levels.get((push_parity(p, v, n), r, 1)) == lv - 1
-            )
-    return levels, policy
 
 
 class FourRegularStrategy(Strategy):
@@ -73,10 +28,9 @@ class FourRegularStrategy(Strategy):
                 raise NotFourRegularError(f"vertex {v} has degree {og.graph.degree(v)}")
         self.start = start
         self.visited: set[int] = set()
-        self.mode = "invariant"  # invariant | endgame | fallback | trap
+        self.mode = "invariant"  # invariant | endgame | trap
         self.script = None
         self.trap: TrapCaptureStrategy | None = None
-        self._fallback = None
         self.endgame_moves = 0
         self.audit_log: list[dict] = []
         # live view refreshed on every cop turn, read by the script generators
@@ -107,8 +61,6 @@ class FourRegularStrategy(Strategy):
             agent = Push(og.out_neighbors(r)[0])
         elif self.script is not None:
             agent = self._advance_script()
-        elif self.mode == "fallback":
-            agent = self._fallback_action()
         else:
             agent = self._dispatch(og, r)
         self._audit(og, agent)
@@ -117,7 +69,7 @@ class FourRegularStrategy(Strategy):
     def _note_endgame(self):
         if self.mode == "invariant":
             self.endgame_moves = 0
-        if self.mode not in ("fallback", "trap"):
+        if self.mode != "trap":
             self.mode = "endgame"
 
     def _audit(self, og: OrientedGraph, agent):
@@ -141,27 +93,10 @@ class FourRegularStrategy(Strategy):
     def _advance_script(self):
         try:
             return next(self.script)
-        except (StopIteration, _ScriptMismatch):
-            self.script = None
-            return self._enter_fallback()
-
-    # fallback ------------------------------------------------------------
-
-    def _enter_fallback(self):
-        self.mode = "fallback"
-        if self._fallback is None:
-            self._fallback = push_trap_policy(self.cur_og.graph, self.cur_og.ref_bits)
-        return self._fallback_action()
-
-    def _fallback_action(self):
-        levels, policy = self._fallback
-        key = (self.cur_og.parity, self.cur_robber, 0)
-        if key not in levels:
+        except StopIteration:
             raise InternalInvariantViolation(
-                "no scripted case applies and push-only trapping is not forced"
-            )
-        choice = policy.get(key)
-        return Stay() if choice is None else Push(choice)
+                "scripted endgame ended without trapping the robber"
+            ) from None
 
     # invariant-maintenance dispatch --------------------------------------
 
@@ -213,11 +148,11 @@ class FourRegularStrategy(Strategy):
         return self._advance_script()
 
     # scripted endgames.  Each generator reads the live view between yields
-    # and treats anything outside its case analysis as a mismatch.
+    # and raises on anything outside its case analysis.
 
     def _expect_robber(self, v: int):
         if self.cur_robber != v:
-            raise _ScriptMismatch(f"robber expected at {v}, found at {self.cur_robber}")
+            raise InternalInvariantViolation(f"robber expected at {v}, found at {self.cur_robber}")
 
     def _claim_edge(self, u, x, y):
         og = self.cur_og
@@ -225,25 +160,25 @@ class FourRegularStrategy(Strategy):
         if dx <= 2:
             yield Push(y)
             # robber forced to x with out-degree <= 1; the trap fires generically
-            raise _ScriptMismatch("robber survived the one-push edge trap")
+            raise InternalInvariantViolation("robber survived the one-push edge trap")
         if dy <= 1:
             yield Push(x)
             self._expect_robber(y)
             outy = self.cur_og.out_neighbors(y)
             if len(outy) != 2 or x not in outy:
-                raise _ScriptMismatch("expected the pushed x back among y's exits")
+                raise InternalInvariantViolation("expected the pushed x back among y's exits")
             w = next(q for q in outy if q != x)
             yield Push(w)
             self._expect_robber(x)
             if set(self.cur_og.out_neighbors(x)) != {u, w}:
-                raise _ScriptMismatch("x's exits differ from {u, w}")
+                raise InternalInvariantViolation("x's exits differ from {u, w}")
             yield Push(w)
             return  # robber forced back to u with a single exit
         # dx == 3, dy == 2
         yield Push(x)
         self._expect_robber(y)
         if self.cur_og.out_degree(y) != 3:
-            raise _ScriptMismatch("y should have gained the flipped x arc")
+            raise InternalInvariantViolation("y should have gained the flipped x arc")
         yield Push(y)
         return  # robber forced back to the now-sealed u
 
@@ -252,7 +187,9 @@ class FourRegularStrategy(Strategy):
         yield Push(y)
         self._expect_robber(x)
         if self.cur_og.out_degree(x) != 3:
-            raise _ScriptMismatch("off-degree exit should be 3 when not trapped outright")
+            raise InternalInvariantViolation(
+                "off-degree exit should be 3 when not trapped outright"
+            )
         yield Push(x)
         return  # robber forced to u, where both exits are spent
 
@@ -286,14 +223,14 @@ class FourRegularStrategy(Strategy):
                     if d2 == 2:
                         outs = self.cur_og.out_neighbors(x2)
                         if x1 not in outs:
-                            raise _ScriptMismatch("x1 should still be an exit of x2")
+                            raise InternalInvariantViolation("x1 should still be an exit of x2")
                         yield Push(next(q for q in outs if q != x1))
                         return
                     if d2 == 3:
                         yield Push(x2)
                         return
-                raise _ScriptMismatch("unexpected robber position after the double push")
-            raise _ScriptMismatch("visited x1 should have out-degree <= 1")
+                raise InternalInvariantViolation("unexpected robber position after the double push")
+            raise InternalInvariantViolation("visited x1 should have out-degree <= 1")
         # x1 != y1
         if d1 == 0:
             yield Push(y)
@@ -309,7 +246,7 @@ class FourRegularStrategy(Strategy):
             if self.cur_robber == x:
                 yield Push(x1)
                 return  # robber forced to x2, whose lone exit was spent
-            raise _ScriptMismatch("x1/x2 moves should have been trapped generically")
+            raise InternalInvariantViolation("x1/x2 moves should have been trapped generically")
         if d2 == 2:
             yield Push(y)
             self._expect_robber(x)
@@ -320,7 +257,7 @@ class FourRegularStrategy(Strategy):
                 self._expect_robber(x2)
                 outs = self.cur_og.out_neighbors(x2)
                 if len(outs) != 2 or x not in outs:
-                    raise _ScriptMismatch("x should be among x2's two exits")
+                    raise InternalInvariantViolation("x should be among x2's two exits")
                 yield Push(next(q for q in outs if q != x))
                 return  # robber forced back to x, nearly sealed
             yield Push(x1)
@@ -329,12 +266,12 @@ class FourRegularStrategy(Strategy):
         yield Push(y)
         self._expect_robber(x)
         yield Push(x1)
-        return  # robber forced to x2; any leftover exits trigger the fallback
+        return  # robber forced to x2 with at most one exit
 
     def _nonedge_case2(self, u, x, y, x1, x2, y1, y2):
         og = self.cur_og
         if self.cur_robber != u:
-            raise _ScriptMismatch("case 2 script must start at the robber's vertex")
+            raise InternalInvariantViolation("case 2 script must start at the robber's vertex")
         if x1 != y1:
             # x1 is not among y's exits, so neither push can raise its out-degree
             yield Push(y)
@@ -356,7 +293,7 @@ class FourRegularStrategy(Strategy):
                 if self.cur_og.out_degree(x2) == 3:
                     yield Push(x2)
                     return  # robber forced back to x with one spent exit
-            raise _ScriptMismatch("unexpected robber position after the double push")
+            raise InternalInvariantViolation("unexpected robber position after the double push")
         if x2 == y2:
             yield Push(y)
             self._expect_robber(x)
@@ -385,17 +322,17 @@ class FourRegularStrategy(Strategy):
         y_in = [w for w in og.in_neighbors(y) if w != u]
         outs_x1 = og.out_neighbors(x1)
         if len(v_in) != 2 or len(x_in) != 1 or len(y_in) != 1 or len(outs_x1) != 1:
-            raise _ScriptMismatch("gadget cast does not have the expected degrees")
+            raise InternalInvariantViolation("gadget cast does not have the expected degrees")
         xp, yp = x_in[0], y_in[0]
         w4 = outs_x1[0]
         rest = [w for w in g.adj[x1] if w not in (x, y, w4)]
         if len(rest) != 1:
-            raise _ScriptMismatch("x1's fourth neighbor is not unique")
+            raise InternalInvariantViolation("x1's fourth neighbor is not unique")
         w5 = rest[0]
         w1s = [w for w in og.in_neighbors(x2) if w != x]
         w8s = [w for w in og.in_neighbors(y2) if w != y]
         if len(w1s) != 1 or len(w8s) != 1:
-            raise _ScriptMismatch("x2/y2 in-neighborhoods do not match the gadget")
+            raise InternalInvariantViolation("x2/y2 in-neighborhoods do not match the gadget")
         w1, w8 = w1s[0], w8s[0]
         w2, w3 = sorted(og.out_neighbors(x2))
         w6, w7 = sorted(og.out_neighbors(y2))
@@ -421,26 +358,26 @@ class FourRegularStrategy(Strategy):
         if r == y:
             yield Push(y2)
             return  # robber forced to x1 likewise
-        raise _ScriptMismatch("robber left the camp through an unexpected exit")
+        raise InternalInvariantViolation("robber left the camp through an unexpected exit")
 
     def _gadget_arrival(self, t, u, x, y, x1, x2, y2, v_in, xp, yp, w1, w2, w3, w4, w5, w6, w7, w8):
         def check_arc(a, b):
             if not self.cur_og.has_arc(a, b):
-                raise _ScriptMismatch(f"expected arc {a}->{b} for the arrival endgame")
+                raise InternalInvariantViolation(f"expected arc {a}->{b} for the arrival endgame")
 
         if t in v_in:
             check_arc(t, u)
             yield MoveTo(u)  # capture
-            raise _ScriptMismatch("capture move did not end the match")
+            raise InternalInvariantViolation("capture move did not end the match")
         if t == x or t == xp or t == x1 or t == x2 or t in (w5, w1, w4, w2, w3):
             yield Push(y)
             if t == x:
-                raise _ScriptMismatch("robber should have run onto the cop at x")
+                raise InternalInvariantViolation("robber should have run onto the cop at x")
             self._expect_robber(x)
             if t == xp:
                 check_arc(t, x)
                 yield MoveTo(x)  # capture
-                raise _ScriptMismatch("capture move did not end the match")
+                raise InternalInvariantViolation("capture move did not end the match")
             if t in (x1, w5, w4):
                 yield Push(x2)
                 if t == x1:
@@ -449,7 +386,7 @@ class FourRegularStrategy(Strategy):
                 if t == w5:
                     check_arc(t, x1)
                     yield MoveTo(x1)  # capture
-                    raise _ScriptMismatch("capture move did not end the match")
+                    raise InternalInvariantViolation("capture move did not end the match")
                 yield Push(y)  # t == w4: restores x1's lone exit toward the cop
                 return
             # t in (x2, w1, w2, w3)
@@ -460,18 +397,18 @@ class FourRegularStrategy(Strategy):
             if t == w1:
                 check_arc(t, x2)
                 yield MoveTo(x2)  # capture
-                raise _ScriptMismatch("capture move did not end the match")
+                raise InternalInvariantViolation("capture move did not end the match")
             yield Push(w3 if t == w2 else w2)
             return  # robber forced onto the cop or trapped generically
         if t == y or t == yp or t == y2 or t in (w8, w6, w7):
             yield Push(x)
             if t == y:
-                raise _ScriptMismatch("robber should have run onto the cop at y")
+                raise InternalInvariantViolation("robber should have run onto the cop at y")
             self._expect_robber(y)
             if t == yp:
                 check_arc(t, y)
                 yield MoveTo(y)  # capture
-                raise _ScriptMismatch("capture move did not end the match")
+                raise InternalInvariantViolation("capture move did not end the match")
             yield Push(x1)
             if t == y2:
                 return
@@ -479,8 +416,8 @@ class FourRegularStrategy(Strategy):
             if t == w8:
                 check_arc(t, y2)
                 yield MoveTo(y2)  # capture
-                raise _ScriptMismatch("capture move did not end the match")
+                raise InternalInvariantViolation("capture move did not end the match")
             yield Push(w7 if t == w6 else w6)
             return
-        raise _ScriptMismatch(f"arrival vertex {t} has no scripted role")
+        raise InternalInvariantViolation(f"arrival vertex {t} has no scripted role")
 

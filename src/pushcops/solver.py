@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 from .errors import QueriedOnWrongArenaError, TooLargeError
 from .engine import Game, GameState, GameVariant, PushAbility, Turn
@@ -39,7 +39,7 @@ def _tuple_index(cfg: tuple[int, ...], n: int) -> int:
 
 
 class Arena:
-    """Dense state enumeration: the index order of `SolveResult.level`."""
+    """The states of one (push class, variant) game and their bit positions."""
 
     def __init__(self, og: OrientedGraph, variant: GameVariant):
         self.graph = og.graph
@@ -62,38 +62,20 @@ class Arena:
         # bit positions of the level planes: (parity block, ordered tuple, robber)
         self.tuples = n ** variant.cops
         self.tuple_at = {c: _tuple_index(c, n) for c in self.cfgs}
-        self.n_play = len(self.parities) * len(self.cfgs) * n * 2
         self.total = total
-        self.root = self.n_play
 
-    def play_index(self, parity: int, cfg: tuple[int, ...], robber: int, turn: int) -> int:
-        n = self.graph.n
-        pi = self.par_index[parity]
-        ci = self.cfg_index[cfg]
-        return ((pi * len(self.cfgs) + ci) * n + robber) * 2 + turn
-
-    def decode_play(self, idx: int) -> tuple[int, tuple[int, ...], int, int]:
-        n = self.graph.n
-        turn = idx & 1
-        idx >>= 1
-        robber = idx % n
-        idx //= n
-        ci = idx % len(self.cfgs)
-        pi = idx // len(self.cfgs)
-        return self.parities[pi], self.cfgs[ci], robber, turn
-
-    def robber_placement_index(self, cfg: tuple[int, ...]) -> int:
-        return self.n_play + 1 + self.cfg_index[cfg]
-
-    def state_index(self, state: GameState) -> int:
-        if state.turn is Turn.COP_PLACEMENT:
-            return self.root
-        if state.turn is Turn.ROBBER_PLACEMENT:
-            return self.robber_placement_index(state.cops)
-        turn = 0 if state.turn is Turn.COP else 1
-        if state.parity not in self.par_index:
-            raise QueriedOnWrongArenaError(f"parity {state.parity} not in arena")
-        return self.play_index(state.parity, state.cops, state.robber, turn)
+    def states(self) -> Iterator[GameState]:
+        """Every arena state: the cop-placement root, one robber placement per
+        cop configuration, then the play states."""
+        p0 = self.initial_parity
+        yield GameState(p0, None, None, Turn.COP_PLACEMENT)
+        for cfg in self.cfgs:
+            yield GameState(p0, cfg, None, Turn.ROBBER_PLACEMENT)
+        for p in self.parities:
+            for cfg in self.cfgs:
+                for r in range(self.graph.n):
+                    yield GameState(p, cfg, r, Turn.COP)
+                    yield GameState(p, cfg, r, Turn.ROBBER)
 
 
 def _tile(unit: int, width: int, count: int) -> int:
@@ -258,15 +240,14 @@ class BitLayout:
 def fixpoint(
     layout: BitLayout,
     cop_pre: Callable[[int], int],
-    won_cop: int,
-    won_robber: int,
+    target: int,
 ) -> tuple[tuple[list[bytes], list[bytes]], int]:
-    """Level-synchronous attractor toward the given target bitsets.
+    """Level-synchronous attractor toward the `target` bitset, with either
+    side to move.
 
-    `won_cop`/`won_robber` are the targets with the cop/robber to move; the
-    cop needs one winning option (`cop_pre`), the robber is won when every
-    option is (`layout.robber_pre`).  Round L labels level L.  Returns the
-    per-turn planes, `planes[t][b]` holding bit b of level + 1 (0 means
+    The cop needs one winning option (`cop_pre`), the robber is won when
+    every option is (`layout.robber_pre`).  Round L labels level L.  Returns
+    the per-turn planes, `planes[t][b]` holding bit b of level + 1 (0 means
     unreached) at every layout position as little-endian bytes, and the
     number of rounds run, the last of which adds nothing.
     """
@@ -285,8 +266,9 @@ def fixpoint(
             value >>= 1
             b += 1
 
-    record(0, won_cop, 1)
-    record(1, won_robber, 1)
+    won_cop = won_robber = target
+    record(0, target, 1)
+    record(1, target, 1)
     rounds = 0
     while True:
         rounds += 1
@@ -351,16 +333,14 @@ class SolveResult:
             return self.placed[0]
         if state.turn is Turn.ROBBER_PLACEMENT:
             return self.placed[1 + arena.cfg_index[state.cops]]
-        pi = arena.par_index.get(state.parity)
-        if pi is None:
-            raise QueriedOnWrongArenaError(f"parity {state.parity} not in arena")
+        pi = self._block(state.parity)
         pos = (pi * arena.tuples + arena.tuple_at[state.cops]) * arena.graph.n + state.robber
         return read_level(self.planes[state.turn is Turn.ROBBER], pos)
 
     @property
     def level(self) -> list[int | None]:
-        """Every state's level in arena index order, built on each access."""
-        return [self.level_of(_arena_state(self.arena, s)) for s in range(self.arena.total)]
+        """Every state's level in `Arena.states` order, built on each access."""
+        return [self.level_of(s) for s in self.arena.states()]
 
     @property
     def max_level(self) -> int:
@@ -381,20 +361,33 @@ class SolveResult:
             return None
         return (root_level - 2 + 1) // 2
 
+    def _block(self, parity: int) -> int:
+        pi = self.arena.par_index.get(parity)
+        if pi is None:
+            raise QueriedOnWrongArenaError(f"parity {parity} not in arena")
+        return pi
+
     def member_win(self, parity: int) -> bool:
         """Verdict if play had started from this parity (same push class).
 
         Valid because play states for every parity of the class are in the
         arena; only the placement chain is pinned to the built initial parity.
+        Some cop configuration must reach every robber vertex, cops to move.
         """
-        return self.member_rounds(parity) is not None
+        arena = self.arena
+        n = arena.graph.n
+        width = arena.tuples * n
+        start = self._block(parity) * width
+        reached = 0
+        for row in self.planes[0]:
+            reached |= _read_bits(row, start, width)
+        lane = (1 << n) - 1
+        return any(reached >> t * n & lane == lane for t in arena.tuple_at.values())
 
     def member_rounds(self, parity: int) -> int | None:
         """Optimal capture rounds from this parity, or None if robber-win."""
-        pi = self.arena.par_index.get(parity)
-        if pi is None:
-            raise QueriedOnWrongArenaError(f"parity {parity} not in arena")
-        wins = [lv for lv in _worst_replies(self.arena, self.planes[0], pi) if lv is not None]
+        worst = _worst_replies(self.arena, self.planes[0], self._block(parity))
+        wins = [lv for lv in worst if lv is not None]
         return (min(wins) + 1) // 2 if wins else None
 
 
@@ -410,23 +403,12 @@ def solve(arena: Arena) -> SolveResult:
             won = layout.cop_step(won, j, variant.push)
         return symmetrize(won) if symmetrize else won
 
-    capture = layout.capture()
-    planes, iterations = fixpoint(layout, cop_pre, capture, capture)
+    planes, iterations = fixpoint(layout, cop_pre, layout.capture())
     # placement chain: the robber (MIN) picks a start, then the cops (MAX) a cfg
     worst = _worst_replies(arena, planes[0], arena.par_index[arena.initial_parity])
     placed = [None if lv is None else 1 + lv for lv in worst]
     wins = [lv for lv in placed if lv is not None]
     return SolveResult(arena, planes, [1 + min(wins) if wins else None, *placed], iterations)
-
-
-def _arena_state(arena: Arena, idx: int) -> GameState:
-    if idx == arena.root:
-        return GameState(arena.initial_parity, None, None, Turn.COP_PLACEMENT)
-    if idx > arena.root:
-        cfg = arena.cfgs[idx - arena.root - 1]
-        return GameState(arena.initial_parity, cfg, None, Turn.ROBBER_PLACEMENT)
-    parity, cfg, robber, turn = arena.decode_play(idx)
-    return GameState(parity, cfg, robber, Turn.ROBBER if turn else Turn.COP)
 
 
 def audit_levels(result: SolveResult) -> None:
@@ -437,8 +419,7 @@ def audit_levels(result: SolveResult) -> None:
     """
     arena = result.arena
     game = Game(OrientedGraph(arena.graph, arena.ref_bits, arena.initial_parity), arena.variant)
-    for s in range(arena.total):
-        state = _arena_state(arena, s)
+    for state in arena.states():
         if state.captured:
             expect = 0
         else:
@@ -452,7 +433,7 @@ def audit_levels(result: SolveResult) -> None:
                 expect = None if None in succ_levels else 1 + max(succ_levels)
         got = result.level_of(state)
         if got != expect:
-            raise AssertionError(f"fixpoint violated at state {s}: {got} != {expect}")
+            raise AssertionError(f"fixpoint violated at {state}: {got} != {expect}")
 
 
 def solve_game(og: OrientedGraph, variant: GameVariant) -> SolveResult:

@@ -10,7 +10,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .engine import GameVariant, PushAbility, play_match
+from .engine import Game, GameVariant, PushAbility, Turn, play_match
+from .errors import IllegalActionError, InternalInvariantViolation
 from .four_regular import FourRegularStrategy
 from .generators import (
     circulant,
@@ -30,7 +31,7 @@ from .graph import (
     validate_graph,
 )
 from .pushdag import find_dag_push_set, reachability_partition
-from .solver import OptimalRobber, SolveResult, solve_game
+from .solver import OptimalRobber, SolveResult, cop_number, solve_game
 from .strategies import StayRobber, StrongPushDagStrategy, TrapCaptureStrategy
 
 
@@ -62,8 +63,7 @@ def _connected_graphs(max_n: int, max_degree: int | None = None):
         yield from enumerate_connected_graphs(n, max_degree)
 
 
-def _solve_class(rep: OrientedGraph, push: PushAbility, cops: int = 1) -> SolveResult:
-    return solve_game(rep, GameVariant(push, cops))
+STRONG_1 = GameVariant(PushAbility.STRONG, 1)
 
 
 def suite_theorem_dag(max_n: int = 5) -> SuiteResult:
@@ -75,7 +75,7 @@ def suite_theorem_dag(max_n: int = 5) -> SuiteResult:
             pushable = find_dag_push_set(rep) is not None
             if not pushable:
                 continue
-            result = _solve_class(rep, PushAbility.STRONG)
+            result = solve_game(rep, STRONG_1)
             for member in (rep.with_parity(p) for p in range(1 << max(g.n - 1, 0))):
                 res.checked += 1
                 if not result.member_win(member.parity):
@@ -87,34 +87,42 @@ def suite_theorem_dag(max_n: int = 5) -> SuiteResult:
                     member,
                     StrongPushDagStrategy(member),
                     OptimalRobber(result),
-                    GameVariant(PushAbility.STRONG),
+                    STRONG_1,
                 )
                 if trace.outcome["type"] != "captured":
                     res.fail("push-then-chase strategy failed to capture", member)
     return res
 
 
-def _suite_c1_by_class(name: str, graphs) -> SuiteResult:
-    res = SuiteResult(name)
+def _one_cop_verdicts(graphs):
+    """Every orientation of every graph, with whether one strong-push cop wins
+    it, read from one solve per push class (parity 0 is the representative)."""
     for g in graphs:
         for rep in enumerate_orientations(g, per_class=True):
-            res.checked += 1
-            result = _solve_class(rep, PushAbility.STRONG)
-            if not result.root_win:
-                res.fail("strong-push cop number exceeds 1", rep)
+            result = solve_game(rep, STRONG_1)
+            for p in range(1 << max(g.n - 1, 0)):
+                yield rep.with_parity(p), result.member_win(p)
+
+
+def _suite_c1(name: str, graphs) -> SuiteResult:
+    res = SuiteResult(name)
+    for og, win in _one_cop_verdicts(graphs):
+        res.checked += 1
+        if not win:
+            res.fail("strong-push cop number exceeds 1", og)
     return res
 
 
 def suite_theorem_3degen(max_n: int = 5) -> SuiteResult:
     """3-degenerate graphs: one strong-push cop wins every orientation."""
     graphs = (g for g in _connected_graphs(max_n) if is_k_degenerate(g, 3)[0])
-    return _suite_c1_by_class("theorem-3degen", graphs)
+    return _suite_c1("theorem-3degen", graphs)
 
 
 def suite_theorem_maxdeg4(max_n: int = 5) -> SuiteResult:
     """Max degree <= 4: one strong-push cop wins every orientation."""
     graphs = _connected_graphs(max_n, max_degree=4)
-    return _suite_c1_by_class("theorem-maxdeg4", graphs)
+    return _suite_c1("theorem-maxdeg4", graphs)
 
 
 def four_regular_families() -> list[tuple[str, UnderlyingGraph]]:
@@ -125,26 +133,64 @@ def four_regular_families() -> list[tuple[str, UnderlyingGraph]]:
     ]
 
 
-def suite_strategy_4regular(families=None) -> SuiteResult:
-    """The scripted 4-regular strategy beats the optimal robber on every push
-    class, with the visited-out-degree dichotomy audited after every move."""
+def worst_robber_line(og: OrientedGraph, make_cop, max_rounds: int) -> int:
+    """Worst capture round of the cop strategy `make_cop(og)` over every robber
+    placement and move from `og`: a DFS of the one-player game it leaves.
+
+    Strategies cannot be copied mid-match, so each node builds a fresh one
+    and replays the robber's recorded actions through `engine.Game`.  Raises
+    `InternalInvariantViolation` when a line is still uncaptured after
+    `max_rounds` rounds, and lets the strategy's own violations and
+    `IllegalActionError` on an illegal cop action propagate.
+    """
+    game = Game(og, STRONG_1)
+    worst = 0
+    lines: list[tuple] = [()]
+    while lines:
+        line = lines.pop()
+        strategy = make_cop(og)
+        state = game.initial_state()
+        rounds = 0
+        for reply in (*line, None):
+            rounds += state.turn is Turn.COP
+            state = game.apply(state, strategy(game, state))
+            if not state.captured and reply is not None:
+                state = game.apply(state, reply)
+            if state.captured:
+                worst = max(worst, rounds)
+                break
+        else:
+            if rounds >= max_rounds:
+                raise InternalInvariantViolation(f"robber line uncaptured after {rounds} rounds")
+            lines.extend(line + (a,) for a in game.legal_actions(state))
+    return worst
+
+
+def suite_strategy_4regular(max_n: int = 5) -> SuiteResult:
+    """The scripted 4-regular strategy captures the robber on every robber
+    line: from every orientation of the families with n <= max_n and from
+    every push-class representative of the larger ones."""
     res = SuiteResult("strategy-4regular")
-    for name, g in families or four_regular_families():
-        for rep in enumerate_orientations(g, per_class=True):
-            res.checked += 1
-            result = _solve_class(rep, PushAbility.STRONG)
-            if not result.root_win:
-                res.fail(f"{name}: solver says one strong-push cop loses", rep)
+    for name, g in four_regular_families():
+        checked = worst = 0
+        for og, win in _one_cop_verdicts([g]):
+            if not win:
+                res.fail(f"{name}: solver says one strong-push cop loses", og)
                 continue
-            strategy = FourRegularStrategy(rep)
-            trace = play_match(
-                rep, strategy, OptimalRobber(result), GameVariant(PushAbility.STRONG)
-            )
-            if trace.outcome["type"] != "captured":
-                res.fail(f"{name}: scripted strategy failed to capture", rep)
-            bad = [e for e in strategy.audit_log if e["mode"] == "invariant" and not e["invariant"]]
-            if bad:
-                res.fail(f"{name}: dichotomy audit failed on {len(bad)} moves", rep)
+            if g.n > max_n and og.parity:
+                continue
+            checked += 1
+            try:
+                # every line of these families ends within 8 rounds, so 4n
+                # leaves room without letting a looping line run for long
+                worst = max(worst, worst_robber_line(og, FourRegularStrategy, 4 * g.n))
+            except (InternalInvariantViolation, IllegalActionError) as exc:
+                res.fail(f"{name}: {type(exc).__name__}: {exc}", og)
+        res.checked += checked
+        res.findings.append(
+            f"{name}: every robber line from {checked} orientations captured"
+            f" within {worst} rounds"
+        )
     return res
 
 
@@ -243,20 +289,13 @@ def suite_monotonic(max_n: int = 5, k_max: int = 3) -> SuiteResult:
 
             def class_win(cache, push, k, parity):
                 if k not in cache:
-                    cache[k] = _solve_class(rep, push, k)
+                    cache[k] = solve_game(rep, GameVariant(push, k))
                 return cache[k].member_win(parity)
 
             for p in range(1 << max(g.n - 1, 0)):
                 member = rep.with_parity(p)
                 res.checked += 1
-                c = next(
-                    (
-                        k
-                        for k in range(1, k_max + 1)
-                        if solve_game(member, GameVariant(PushAbility.NONE, k)).root_win
-                    ),
-                    None,
-                )
+                c = cop_number(member, PushAbility.NONE, k_max)
                 c_wp = next(
                     (
                         k
@@ -325,22 +364,19 @@ def check_k4_obstruction() -> SuiteResult:
 
 
 def open_problem_sweep(max_n: int = 5) -> SuiteResult:
-    """Search for any push class needing more than one strong-push cop."""
+    """Search for any orientation needing more than one strong-push cop."""
     res = SuiteResult("open-problem-sweep")
     hard: list[OrientedGraph] = []
-    for g in _connected_graphs(max_n):
-        for rep in enumerate_orientations(g, per_class=True):
-            res.checked += 1
-            if not _solve_class(rep, PushAbility.STRONG).root_win:
-                hard.append(rep)
+    for og, win in _one_cop_verdicts(_connected_graphs(max_n)):
+        res.checked += 1
+        if not win:
+            hard.append(og)
     if hard:
-        res.findings.append(
-            f"found {len(hard)} push classes with strong-push cop number > 1"
-        )
+        res.findings.append(f"found {len(hard)} orientation(s) with strong-push cop number > 1")
         res.findings.extend(serialize_arcs(og).replace("\n", "; ") for og in hard[:5])
         res.repro = hard[0]
     else:
-        res.findings.append("no push class with strong-push cop number > 1")
+        res.findings.append("no push class has an orientation with strong-push cop number > 1")
     return res
 
 

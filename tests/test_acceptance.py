@@ -52,9 +52,20 @@ def test_max_degree_four_one_cop_full():
 
 
 def test_four_regular_strategy_beats_optimal_robber():
-    """Scripted 4-regular strategy on every push class of K5, the octahedron,
-    and C8(1,2), with the per-move dichotomy audit."""
-    report("4-regular scripted strategy (K5, K2,2,2, C8(1,2))", suite_strategy_4regular())
+    """Scripted 4-regular strategy against every robber line, with the
+    per-move dichotomy audit: from every orientation of K5 and every push
+    class representative of the octahedron and C8(1,2)."""
+    res = suite_strategy_4regular()
+    report("4-regular scripted strategy, every robber line (K5, K2,2,2, C8(1,2))", res)
+    assert res.checked == 1024 + 128 + 512
+
+
+@pytest.mark.slow
+def test_four_regular_strategy_every_orientation_full():
+    report(
+        "4-regular scripted strategy, every robber line from every orientation",
+        suite_strategy_4regular(max_n=8),
+    )
 
 
 def test_reachability_growth_properties():

@@ -1,6 +1,7 @@
 import io
 import json
 
+from pushcops import verify
 from pushcops.cli import main
 from pushcops.engine import GameVariant, PushAbility, Trace, play_match
 from pushcops.generators import complete, enumerate_orientations
@@ -166,6 +167,15 @@ class TestVerify:
     def test_unknown_suite_exit_1(self, capsys):
         assert main(["verify", "nonsense"]) == 1
         assert "unknown suite" in capsys.readouterr().err
+
+    def test_max_n_reaches_strategy_4regular(self, monkeypatch, capsys):
+        # the 64 push classes of K5 give 1,024 orientations
+        monkeypatch.setattr(verify, "four_regular_families", lambda: [("K5", complete(5))])
+        monkeypatch.setattr(verify, "worst_robber_line", lambda og, make_cop, max_rounds: 0)
+        assert main(["verify", "strategy-4regular", "--max-n", "4"]) == 0
+        assert "(64 checks)" in capsys.readouterr().out
+        assert main(["verify", "strategy-4regular", "--max-n", "5"]) == 0
+        assert "(1024 checks)" in capsys.readouterr().out
 
     def test_small_suite_passes(self, capsys):
         assert main(["verify", "monotonic", "--max-n", "3"]) == 0

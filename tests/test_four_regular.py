@@ -1,15 +1,21 @@
-import random
-
 import pytest
 
-from pushcops.engine import Game, GameVariant, PushAbility, Turn, play_match
-from pushcops.errors import NotFourRegularError
-from pushcops.four_regular import FourRegularStrategy, push_trap_policy
+from pushcops.engine import (
+    Game,
+    GameVariant,
+    PlaceCops,
+    PlaceRobber,
+    PushAbility,
+    Stay,
+    Turn,
+    play_match,
+)
+from pushcops.errors import InternalInvariantViolation, NotFourRegularError
+from pushcops.four_regular import FourRegularStrategy
 from pushcops.generators import complete, enumerate_orientations, octahedron
-from pushcops.graph import OrientedGraph, is_trapped, validate_graph
+from pushcops.graph import is_trapped, validate_graph
 from pushcops.solver import OptimalRobber, solve_game
-
-from conftest import random_oriented
+from pushcops.verify import worst_robber_line
 
 STRONG = GameVariant(PushAbility.STRONG, 1)
 
@@ -20,35 +26,38 @@ class TestPreconditions:
             FourRegularStrategy(validate_graph(3, [(0, 1), (1, 2), (2, 0)]))
 
 
-class TestPushTrapPolicy:
-    def test_levels_and_policy_consistent(self):
-        og = random_oriented(random.Random(7), 5)
-        levels, policy = push_trap_policy(og.graph, og.ref_bits)
-        for (p, r, t), lv in levels.items():
-            if lv == 0:
-                assert t == 0 and og.with_parity(p).out_degree(r) == 0
-        for (p, r, t), choice in policy.items():
-            assert t == 0
-            lv = levels[(p, r, 0)]
-            nxt_p = p if choice is None else og.with_parity(p).push(choice).parity
-            assert levels[(nxt_p, r, 1)] == lv - 1
+class TestScriptEnd:
+    def test_script_ending_untrapped_raises(self):
+        """A script that runs out while the robber still has two exits is a
+        broken case analysis, not a cue to improvise."""
+        og = next(enumerate_orientations(complete(5), per_class=True))
+        game = Game(og, STRONG)
+        strategy = FourRegularStrategy(og)
+        state = game.apply(game.initial_state(), strategy(game, game.initial_state()))
+        r = next(v for v in range(1, og.n) if og.out_degree(v) >= 2)
+        state = game.apply(state, PlaceRobber(r))
+        strategy.script = iter(())
+        with pytest.raises(InternalInvariantViolation, match="ended without trapping"):
+            strategy(game, state)
 
-    def test_following_policy_traps_adversarial_robber(self):
-        og = random_oriented(random.Random(11), 5)
-        levels, policy = push_trap_policy(og.graph, og.ref_bits)
-        starts = [(p, r) for (p, r, t) in levels if t == 0 and levels[(p, r, 0)] > 0]
-        for p, r in starts[:50]:
-            steps = 0
-            while og.with_parity(p).out_degree(r) > 0:
-                choice = policy[(p, r, 0)]
-                if choice is not None:
-                    p = og.with_parity(p).push(choice).parity
-                # adversarial robber: maximize the remaining level
-                options = [(p, r)] + [(p, w) for w in og.with_parity(p).out_neighbors(r)]
-                p, r = max(options, key=lambda s: levels.get((s[0], s[1], 0), -1)
-                           if levels.get((s[0], s[1], 0)) is not None else -1)
-                steps += 1
-                assert steps <= levels[(p, r, 0)] + 2 * og.n * (1 << og.n)  # progress guard
+
+class TestEveryRobberLine:
+    def test_worst_line_no_faster_than_optimal(self):
+        """The optimal robber's line is among those explored, so the worst
+        line lasts at least the solver's optimal capture time."""
+        for rep in list(enumerate_orientations(complete(5), per_class=True))[:8]:
+            optimum = solve_game(rep, STRONG).capture_rounds
+            assert worst_robber_line(rep, FourRegularStrategy, 20) >= optimum
+
+    def test_uncaptured_line_raises(self):
+        def idle_cop(og):
+            def act(game, state):
+                return PlaceCops((0,)) if state.turn is Turn.COP_PLACEMENT else (Stay(),)
+            return act
+
+        og = next(enumerate_orientations(complete(5), per_class=True))
+        with pytest.raises(InternalInvariantViolation, match="uncaptured after 3 rounds"):
+            worst_robber_line(og, idle_cop, 3)
 
 
 class TestMatches:

@@ -38,23 +38,17 @@ class TestArena:
         og = random_oriented(random.Random(n * 10 + k), n)
         arena = Arena(og, GameVariant(PushAbility.STRONG, k))
         cfgs = math.comb(n + k - 1, k)
-        assert arena.n_play == (1 << (n - 1)) * cfgs * n * 2
-        assert arena.total == arena.n_play + 1 + cfgs
+        assert arena.total == (1 << (n - 1)) * cfgs * n * 2 + 1 + cfgs
+        assert len(set(arena.states())) == arena.total
 
     def test_no_push_collapses_parities(self):
         arena = Arena(triangle().push(1), GameVariant(PushAbility.NONE, 1))
         assert arena.parities == [triangle().push(1).parity]
 
-    def test_decode_inverts_encode(self):
-        arena = Arena(triangle(), GameVariant(PushAbility.WEAK, 2))
-        for idx in range(arena.n_play):
-            p, cfg, r, t = arena.decode_play(idx)
-            assert arena.play_index(p, cfg, r, t) == idx
-
     def test_wrong_parity_rejected(self):
-        arena = Arena(triangle(), GameVariant(PushAbility.NONE, 1))
+        result = solve(Arena(triangle(), GameVariant(PushAbility.NONE, 1)))
         with pytest.raises(QueriedOnWrongArenaError):
-            arena.state_index(GameState(3, (0,), 1, Turn.COP))
+            result.level_of(GameState(3, (0,), 1, Turn.COP))
 
 
 class TestSolve:
@@ -129,7 +123,7 @@ class TestKernelEdgeCases:
         og = validate_graph(2, [(1, 0)])
         result = solve_game(og, GameVariant(PushAbility.WEAK, 2))
         audit_levels(result)
-        assert result.level[result.arena.play_index(og.parity, (0, 0), 1, 0)] == 1
+        assert result.level_of(GameState(og.parity, (0, 0), 1, Turn.COP)) == 1
 
     def test_levels_above_255(self):
         n = 140
@@ -137,7 +131,7 @@ class TestKernelEdgeCases:
         result = solve_game(path, GameVariant(PushAbility.NONE, 1))
         audit_levels(result)
         assert result.capture_rounds == n - 1
-        assert result.level[result.arena.root] == 2 * n - 1
+        assert result.level_of(GameState(path.parity, None, None, Turn.COP_PLACEMENT)) == 2 * n - 1
 
 
 class TestLevelReaders:
