@@ -48,7 +48,6 @@ from .solver import (
     OptimalRobber,
     SolveResult,
     cop_number,
-    solve,
     solve_game,
 )
 from .strategies import (
@@ -100,7 +99,6 @@ __all__ = [
     "reachable_from",
     "serialize_arcs",
     "single_source",
-    "solve",
     "solve_game",
     "validate_graph",
 ]

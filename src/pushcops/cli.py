@@ -151,7 +151,7 @@ def cmd_verify(args) -> int:
     if suite is None:
         raise SystemExit2(f"unknown suite {args.suite!r}; choose from {sorted(SUITES)}")
     kwargs = {}
-    if args.max_n is not None and args.suite != "trap":
+    if args.max_n is not None:
         kwargs["max_n"] = args.max_n
     res = suite(**kwargs)
     print(res.summary())

@@ -6,9 +6,8 @@ import enum
 import itertools
 import json
 from dataclasses import dataclass, field
-from typing import Sequence
 
-from .errors import IllegalActionError, IllegalStrategyActionError, WrongTurnError
+from .errors import BadVariantError, IllegalActionError, IllegalStrategyActionError, WrongTurnError
 from .graph import OrientedGraph, parse_arcs, push_parity, serialize_arcs
 
 
@@ -22,6 +21,10 @@ class PushAbility(enum.Enum):
 class GameVariant:
     push: PushAbility = PushAbility.STRONG
     cops: int = 1  # the robber never pushes in any variant
+
+    def __post_init__(self):
+        if self.cops < 1:
+            raise BadVariantError(f"cop count must be at least 1, got {self.cops}")
 
 
 class Turn(enum.Enum):

@@ -69,6 +69,10 @@ class TooLargeError(PushcopsError):
 
 # game engine
 
+class BadVariantError(PushcopsError):
+    pass
+
+
 class WrongTurnError(PushcopsError):
     pass
 

@@ -20,15 +20,15 @@ from .strategies import Strategy, TrapCaptureStrategy
 
 
 class FourRegularStrategy(Strategy):
-    """Case machine keeping every robber-visited vertex at out-degree <= 1."""
+    """Case machine keeping every robber-visited vertex at out-degree <= 1.
+    The cop starts on vertex 0."""
 
-    def __init__(self, og: OrientedGraph, start: int = 0):
+    def __init__(self, og: OrientedGraph):
         for v in range(og.n):
             if og.graph.degree(v) != 4:
                 raise NotFourRegularError(f"vertex {v} has degree {og.graph.degree(v)}")
-        self.start = start
         self.visited: set[int] = set()
-        self.mode = "invariant"  # invariant | endgame | trap
+        self.mode = "invariant"  # invariant | endgame
         self.script = None
         self.trap: TrapCaptureStrategy | None = None
         self.endgame_moves = 0
@@ -42,7 +42,7 @@ class FourRegularStrategy(Strategy):
 
     def __call__(self, game: Game, state: GameState):
         if state.turn is Turn.COP_PLACEMENT:
-            return PlaceCops((self.start,) * game.variant.cops)
+            return PlaceCops((0,) * game.variant.cops)
         og = game.orientation(state)
         r = state.robber
         self.visited.add(r)
@@ -50,8 +50,6 @@ class FourRegularStrategy(Strategy):
         if self.trap is not None:
             return self.trap(game, state)
         if is_trapped(og, r):
-            self.mode = "trap"
-            self.script = None
             self.trap = TrapCaptureStrategy(og, state.cops[0], r)
             return self.trap(game, state)
         if og.out_degree(r) == 1:
@@ -69,8 +67,7 @@ class FourRegularStrategy(Strategy):
     def _note_endgame(self):
         if self.mode == "invariant":
             self.endgame_moves = 0
-        if self.mode != "trap":
-            self.mode = "endgame"
+        self.mode = "endgame"
 
     def _audit(self, og: OrientedGraph, agent):
         after = og.push(agent.vertex) if isinstance(agent, Push) else og

@@ -79,10 +79,17 @@ def find_dag_push_set(og: OrientedGraph) -> list[int] | None:
     if og.n > MAX_SEARCH_VERTICES:
         raise TooLargeError(f"n={og.n} exceeds search cap {MAX_SEARCH_VERTICES}", og.n)
     for parity in range(1 << max(og.n - 1, 0)):
-        if is_dag(og.with_parity(parity))[0]:
-            delta = parity ^ og.parity
-            return [v for v in range(1, og.n) if (delta >> (v - 1)) & 1]
+        member = og.with_parity(parity)
+        if is_dag(member)[0]:
+            return push_delta(og, member)
     return None
+
+
+def push_delta(current: OrientedGraph, target: OrientedGraph) -> list[int]:
+    """Vertices (ascending, all nonzero) whose pushes turn current into its
+    class member target."""
+    diff = current.parity ^ target.parity
+    return [v for v in range(1, current.n) if (diff >> (v - 1)) & 1]
 
 
 def dag_push_target(og: OrientedGraph) -> OrientedGraph:

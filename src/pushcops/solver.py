@@ -12,11 +12,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Iterator
 
 from .errors import QueriedOnWrongArenaError, TooLargeError
 from .engine import Game, GameState, GameVariant, PushAbility, Turn
-from .graph import OrientedGraph, UnderlyingGraph, parity_bit
+from .graph import OrientedGraph, parity_bit
 
 # Memory budget of one solve: about 2 GB at 100 B per arena state.  Levels
 # stay as bit planes (about 1 B/state retained), so the per-arc move masks
@@ -60,7 +60,7 @@ class Arena:
         self.cfgs = list(itertools.combinations_with_replacement(range(n), variant.cops))
         self.cfg_index = {c: i for i, c in enumerate(self.cfgs)}
         # bit positions of the level planes: (parity block, ordered tuple, robber)
-        self.tuples = n ** variant.cops
+        self.block = n ** (variant.cops + 1)  # bits per parity block
         self.tuple_at = {c: _tuple_index(c, n) for c in self.cfgs}
         self.total = total
 
@@ -115,37 +115,37 @@ def _read_bits(row: bytes, start: int, width: int) -> int:
 class BitLayout:
     """Python-int bitsets over (parity, ordered cop tuple, robber) positions.
 
-    Position (p * n**k + c) * n + r is parity block p, cop tuple c read as k
+    Position p * block + c * n + r is parity block p, cop tuple c read as k
     base-n digits with cop 0 most significant, and robber r.  A move along
     one arc, for every position at once, is a shift masked by "mover on the
     tail and the arc present in this parity"; a push swaps parity blocks.
     """
 
-    def __init__(self, graph: UnderlyingGraph, ref_bits: int, parities: list[int], k: int):
-        n = graph.n
+    def __init__(self, arena: Arena):
+        n, k = arena.graph.n, arena.variant.cops
         self.n = n
         self.k = k
-        self.blocks = len(parities)
-        self.block = n ** (k + 1)
-        self.size = self.blocks * self.block
+        self.ability = arena.variant.push
+        self.blocks = len(arena.parities)
+        self.size = self.blocks * arena.block
         self.full = (1 << self.size) - 1
         # pbit[v]: positions whose parity gives vertex v push-parity 1
         if self.blocks == 1:
-            pbit = [self.full if parity_bit(parities[0], v) else 0 for v in range(n)]
+            pbit = [self.full if parity_bit(arena.parities[0], v) else 0 for v in range(n)]
         else:
             pbit = [0]
             for t in range(n - 1):
-                run = (1 << t) * self.block
+                run = (1 << t) * arena.block
                 pbit.append(_tile(((1 << run) - 1) << run, 2 * run, self.blocks >> (t + 1)))
         # bit-t-clear masks for swapping parity blocks
-        self._flips = [((1 << t) * self.block, self.full ^ pbit[t + 1]) for t in range(n - 1)]
+        self._flips = [((1 << t) * arena.block, self.full ^ pbit[t + 1]) for t in range(n - 1)]
 
         def arc(a: int, b: int) -> int:
-            e = graph.edge_index(a, b)
+            e = arena.graph.edge_index(a, b)
             flipped = pbit[a] ^ pbit[b]
-            return flipped if ((ref_bits >> e) & 1) ^ (a > b) else self.full ^ flipped
+            return flipped if ((arena.ref_bits >> e) & 1) ^ (a > b) else self.full ^ flipped
 
-        arcs = [(a, b, arc(a, b)) for a in range(n) for b in graph.adj[a]]
+        arcs = [(a, b, arc(a, b)) for a in range(n) for b in arena.graph.adj[a]]
         robber0 = _tile(1, n, self.size // n)
         self.robber_at = [robber0 << a for a in range(n)]
         self.robber_moves = [(b - a, self.robber_at[a] & m) for a, b, m in arcs]
@@ -158,19 +158,31 @@ class BitLayout:
             at = [cop0 << (a * w) for a in range(n)]
             self.cop_at.append(at)
             self.cop_moves.append([((b - a) * w, at[a] & m) for a, b, m in arcs])
+        # with k >= 2, cop_pre keeps the sorted cop tuples, then copies them
+        # to every ordering by swapping adjacent cops along a reduced word of
+        # the longest permutation (subword property)
+        self._keep = self.full
+        if k >= 2:
+            unit = 0
+            for c in arena.tuple_at.values():
+                unit |= ((1 << n) - 1) << (c * n)
+            self._keep = _tile(unit, arena.block, self.blocks)
+        self._swaps: list[tuple[int, int]] = []
+        for i in range(k - 1):
+            for j in range(i, -1, -1):
+                w = n ** (k - j) - n ** (k - 1 - j)
+                at, nxt = self.cop_at[j], self.cop_at[j + 1]
+                for d in range(1, n):
+                    m = 0
+                    for a in range(n - d):
+                        m |= at[a] & nxt[a + d]
+                    self._swaps.append((d * w, m))
 
     def push(self, x: int, v: int) -> int:
         """The bitset pulled back through a push of vertex v."""
         for s, low in self._flips if v == 0 else self._flips[v - 1:v]:
             x = ((x & low) << s) | ((x >> s) & low)
         return x
-
-    def any_push(self, x: int) -> int:
-        """The bitset pulled back through a push of any one vertex."""
-        out = 0
-        for v in range(self.n):
-            out |= self.push(x, v)
-        return out
 
     def capture(self) -> int:
         """Positions with the robber on some cop's vertex."""
@@ -188,68 +200,39 @@ class BitLayout:
             escape |= m & _pull(lost, d)
         return won & ~escape
 
-    def cop_step(self, won: int, j: int, push: PushAbility) -> int:
-        """Positions where cop j, to act, can stay, move or push into `won`."""
-        out = won
-        for d, m in self.cop_moves[j]:
-            out |= m & _pull(won, d)
-        if push is PushAbility.STRONG:
-            out |= self.any_push(won)
-        elif push is PushAbility.WEAK:
-            for v in range(self.n):
-                out |= self.cop_at[j][v] & self.push(won, v)
-        return out
+    def cop_pre(self, won: int) -> int:
+        """Positions where the cops, to act, can reach `won` by one action each.
 
-    def sorted_tuples(self) -> list[int]:
-        """Tuple indices of the sorted cop tuples, in increasing order."""
-        n = self.n
-        return [
-            _tuple_index(cfg, n)
-            for cfg in itertools.combinations_with_replacement(range(n), self.k)
-        ]
-
-    def symmetrizer(self) -> Callable[[int], int]:
-        """Map a bitset on sorted cop tuples to one on all their permutations."""
-        n, k = self.n, self.k
-        unit = 0
-        for c in self.sorted_tuples():
-            unit |= ((1 << n) - 1) << (c * n)
-        keep = _tile(unit, self.block, self.blocks)
-        # swapping adjacent cops along a reduced word of the longest
-        # permutation reaches every ordering (subword property)
-        swaps = []
-        for i in range(k - 1):
-            for j in range(i, -1, -1):
-                w = n ** (k - j) - n ** (k - 1 - j)
-                at, nxt = self.cop_at[j], self.cop_at[j + 1]
-                for d in range(1, n):
-                    m = 0
-                    for a in range(n - d):
-                        m |= at[a] & nxt[a + d]
-                    swaps.append((d * w, m))
-
-        def symmetrize(x: int) -> int:
-            x &= keep
-            for s, m in swaps:
-                x |= ((x & m) << s) | ((x >> s) & m)
-            return x
-
-        return symmetrize
+        The cops act one at a time in sorted order, so this pulls back from
+        the last cop to the first: each can stay, move or push.  With k >= 2
+        only the sorted tuples are kept and then copied to their permutations.
+        """
+        for j in reversed(range(self.k)):
+            out = won
+            for d, m in self.cop_moves[j]:
+                out |= m & _pull(won, d)
+            if self.ability is PushAbility.STRONG:
+                for v in range(self.n):
+                    out |= self.push(won, v)
+            elif self.ability is PushAbility.WEAK:
+                for v in range(self.n):
+                    out |= self.cop_at[j][v] & self.push(won, v)
+            won = out
+        won &= self._keep
+        for s, m in self._swaps:
+            won |= ((won & m) << s) | ((won >> s) & m)
+        return won
 
 
-def fixpoint(
-    layout: BitLayout,
-    cop_pre: Callable[[int], int],
-    target: int,
-) -> tuple[tuple[list[bytes], list[bytes]], int]:
-    """Level-synchronous attractor toward the `target` bitset, with either
+def fixpoint(layout: BitLayout) -> tuple[tuple[list[bytes], list[bytes]], int]:
+    """Level-synchronous attractor toward the capture positions, with either
     side to move.
 
-    The cop needs one winning option (`cop_pre`), the robber is won when
-    every option is (`layout.robber_pre`).  Round L labels level L.  Returns
-    the per-turn planes, `planes[t][b]` holding bit b of level + 1 (0 means
-    unreached) at every layout position as little-endian bytes, and the
-    number of rounds run, the last of which adds nothing.
+    The cops need one winning option (`layout.cop_pre`), the robber is won
+    when every option is (`layout.robber_pre`).  Round L labels level L.
+    Returns the per-turn planes, `planes[t][b]` holding bit b of level + 1
+    (0 means unreached) at every layout position as little-endian bytes, and
+    the number of rounds run, the last of which adds nothing.
     """
     planes: tuple[list[int], list[int]] = ([], [])
 
@@ -266,13 +249,14 @@ def fixpoint(
             value >>= 1
             b += 1
 
+    target = layout.capture()
     won_cop = won_robber = target
     record(0, target, 1)
     record(1, target, 1)
     rounds = 0
     while True:
         rounds += 1
-        new_cop = cop_pre(won_robber) & ~won_cop
+        new_cop = layout.cop_pre(won_robber) & ~won_cop
         new_robber = layout.robber_pre(won_cop) & ~won_robber
         if not (new_cop or new_robber):
             break
@@ -300,14 +284,14 @@ def _worst_replies(arena: Arena, turn0: list[bytes], pi: int) -> list[int | None
     """Per cop configuration at parity block `pi`, cops to move: the highest
     level over robber vertices, or None if some robber vertex is unreached."""
     n = arena.graph.n
-    block = [_read_bits(row, pi * arena.tuples * n, arena.tuples * n) for row in turn0]
+    bits = [_read_bits(row, pi * arena.block, arena.block) for row in turn0]
     reached = 0
-    for x in block:
+    for x in bits:
         reached |= x
     out: list[int | None] = []
     for cfg in arena.cfgs:
         lanes = ((1 << n) - 1) << arena.tuple_at[cfg] * n
-        out.append(_highest(block, lanes) - 1 if reached & lanes == lanes else None)
+        out.append(_highest(bits, lanes) - 1 if reached & lanes == lanes else None)
     return out
 
 
@@ -334,7 +318,7 @@ class SolveResult:
         if state.turn is Turn.ROBBER_PLACEMENT:
             return self.placed[1 + arena.cfg_index[state.cops]]
         pi = self._block(state.parity)
-        pos = (pi * arena.tuples + arena.tuple_at[state.cops]) * arena.graph.n + state.robber
+        pos = pi * arena.block + arena.tuple_at[state.cops] * arena.graph.n + state.robber
         return read_level(self.planes[state.turn is Turn.ROBBER], pos)
 
     @property
@@ -367,22 +351,30 @@ class SolveResult:
             raise QueriedOnWrongArenaError(f"parity {parity} not in arena")
         return pi
 
-    def member_win(self, parity: int) -> bool:
-        """Verdict if play had started from this parity (same push class).
+    def member_wins(self) -> dict[int, bool]:
+        """Verdict per arena parity if play had started there (same push class).
 
         Valid because play states for every parity of the class are in the
         arena; only the placement chain is pinned to the built initial parity.
-        Some cop configuration must reach every robber vertex, cops to move.
+        A parity wins when some cop configuration reaches every robber vertex,
+        cops to move.
         """
         arena = self.arena
         n = arena.graph.n
-        width = arena.tuples * n
-        start = self._block(parity) * width
         reached = 0
         for row in self.planes[0]:
-            reached |= _read_bits(row, start, width)
-        lane = (1 << n) - 1
-        return any(reached >> t * n & lane == lane for t in arena.tuple_at.values())
+            reached |= int.from_bytes(row, "little")
+        # bit c * n of a block stays set when cop tuple c reaches every robber
+        full = reached
+        for r in range(1, n):
+            full &= reached >> r
+        starts = 0
+        for c in arena.tuple_at.values():
+            starts |= 1 << c * n
+        hits = full & _tile(starts, arena.block, len(arena.parities))
+        row = hits.to_bytes((hits.bit_length() + 7) // 8, "little")
+        return {p: _read_bits(row, pi * arena.block, arena.block) != 0
+                for pi, p in enumerate(arena.parities)}
 
     def member_rounds(self, parity: int) -> int | None:
         """Optimal capture rounds from this parity, or None if robber-win."""
@@ -391,19 +383,11 @@ class SolveResult:
         return (min(wins) + 1) // 2 if wins else None
 
 
-def solve(arena: Arena) -> SolveResult:
-    """Attractor of the capture states, with the cops as the MAX player."""
-    variant = arena.variant
-    layout = BitLayout(arena.graph, arena.ref_bits, arena.parities, variant.cops)
-    symmetrize = layout.symmetrizer() if variant.cops >= 2 else None
-
-    def cop_pre(won: int) -> int:
-        # the cops act one at a time in sorted order, so pull back from the last
-        for j in reversed(range(variant.cops)):
-            won = layout.cop_step(won, j, variant.push)
-        return symmetrize(won) if symmetrize else won
-
-    planes, iterations = fixpoint(layout, cop_pre, layout.capture())
+def solve_game(og: OrientedGraph, variant: GameVariant) -> SolveResult:
+    """Attractor of the capture states over the arena of `og` and `variant`,
+    with the cops as the MAX player."""
+    arena = Arena(og, variant)
+    planes, iterations = fixpoint(BitLayout(arena))
     # placement chain: the robber (MIN) picks a start, then the cops (MAX) a cfg
     worst = _worst_replies(arena, planes[0], arena.par_index[arena.initial_parity])
     placed = [None if lv is None else 1 + lv for lv in worst]
@@ -434,10 +418,6 @@ def audit_levels(result: SolveResult) -> None:
         got = result.level_of(state)
         if got != expect:
             raise AssertionError(f"fixpoint violated at {state}: {got} != {expect}")
-
-
-def solve_game(og: OrientedGraph, variant: GameVariant) -> SolveResult:
-    return solve(Arena(og, variant))
 
 
 def cop_number(og: OrientedGraph, push: PushAbility, k_max: int) -> int | None:

@@ -16,7 +16,7 @@ from .errors import (
 )
 from .engine import Game, GameState, GameVariant, MoveTo, PlaceCops, PlaceRobber, Push, Stay, Turn
 from .graph import OrientedGraph, UnderlyingGraph, is_dag, is_trapped, reachable_from
-from .pushdag import dag_push_target, normalize_single_source, single_source
+from .pushdag import dag_push_target, normalize_single_source, push_delta, single_source
 from .solver import OptimalCop, solve_game
 
 
@@ -100,22 +100,20 @@ class StrongPushDagStrategy(Strategy):
 
     def __init__(self, og: OrientedGraph):
         self.target, self.source = _class_dag_target(og.graph, og.ref_bits)
-        self.push_budget = len(dag_push_delta(og, self.target))
+        self.push_budget = len(push_delta(og, self.target))
         self._chase: DagChaseStrategy | None = None
         self._trap: TrapCaptureStrategy | None = None
-        self.moves_after_placement = 0
 
     def __call__(self, game: Game, state: GameState):
         if state.turn is Turn.COP_PLACEMENT:
             return PlaceCops((self.source,) * game.variant.cops)
-        self.moves_after_placement += 1
         if self._trap is not None:
             return self._trap(game, state)
         og = game.orientation(state)
         if is_trapped(og, state.robber):
             self._trap = TrapCaptureStrategy(og, _cop_pos(state), state.robber)
             return self._trap(game, state)
-        pending = dag_push_delta(og, self.target)
+        pending = push_delta(og, self.target)
         if pending:
             return (Push(pending[0]),) + (Stay(),) * (game.variant.cops - 1)
         if self._chase is None:
@@ -133,12 +131,6 @@ def _class_dag_target(graph: UnderlyingGraph, ref_bits: int) -> tuple[OrientedGr
     dag = dag_push_target(OrientedGraph(graph, ref_bits, 0))  # raises NotPushableToDagError
     target = normalize_single_source(dag)[0]
     return target, single_source(target)
-
-
-def dag_push_delta(current: OrientedGraph, target: OrientedGraph) -> list[int]:
-    """Vertices (ascending, all nonzero) whose pushes turn current into target."""
-    diff = current.parity ^ target.parity
-    return [v for v in range(1, current.n) if (diff >> (v - 1)) & 1]
 
 
 class OracleCopStrategy(Strategy):

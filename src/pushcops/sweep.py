@@ -24,7 +24,7 @@ from .generators import (
     random_orientation,
 )
 from .graph import OrientedGraph, serialize_arcs
-from .solver import Arena, solve
+from .solver import solve_game
 
 CSV_HEADER = [
     "instance_id",
@@ -133,7 +133,7 @@ def sweep_row(instance_id: str, family: str, og: OrientedGraph, push: PushAbilit
     started = time.perf_counter()
     try:
         for k in range(1, k_max + 1):
-            result = solve(Arena(og, GameVariant(push, k)))
+            result = solve_game(og, GameVariant(push, k))
             row["states"] += result.arena.total
             if result.root_win:
                 row["verdict"] = "cop-win"
@@ -159,6 +159,8 @@ def run_sweep(spec: dict) -> SweepReport:
         seed = int(job.get("seed", 0))
         push = PushAbility(job.get("push", "strong"))
         k_max = int(job.get("k_max", 1))
+        if k_max < 1:
+            raise BadFamilyParamsError(f"k_max must be at least 1, got {k_max}")
         for label, g in build_family(family, params):
             for og in orientations_for(g, orient, seed):
                 instance_id = f"{label}-r{og.ref_bits}-c{og.parity}"

@@ -11,12 +11,11 @@ import random
 from dataclasses import dataclass, field
 
 from .engine import Game, GameVariant, PushAbility, Turn, play_match
-from .errors import IllegalActionError, InternalInvariantViolation
+from .errors import BadFamilyParamsError, IllegalActionError, InternalInvariantViolation
 from .four_regular import FourRegularStrategy
 from .generators import (
     circulant,
     complete,
-    cycle,
     enumerate_connected_graphs,
     enumerate_orientations,
     is_k_degenerate,
@@ -31,7 +30,7 @@ from .graph import (
     validate_graph,
 )
 from .pushdag import find_dag_push_set, reachability_partition
-from .solver import OptimalRobber, SolveResult, cop_number, solve_game
+from .solver import OptimalRobber, cop_number, solve_game
 from .strategies import StayRobber, StrongPushDagStrategy, TrapCaptureStrategy
 
 
@@ -76,9 +75,10 @@ def suite_theorem_dag(max_n: int = 5) -> SuiteResult:
             if not pushable:
                 continue
             result = solve_game(rep, STRONG_1)
-            for member in (rep.with_parity(p) for p in range(1 << max(g.n - 1, 0))):
+            for p, win in result.member_wins().items():
+                member = rep.with_parity(p)
                 res.checked += 1
-                if not result.member_win(member.parity):
+                if not win:
                     res.fail(f"solver says robber-win on a DAG-pushable orientation", member)
                     continue
                 # the class arena covers every member parity, so one solve
@@ -99,9 +99,8 @@ def _one_cop_verdicts(graphs):
     it, read from one solve per push class (parity 0 is the representative)."""
     for g in graphs:
         for rep in enumerate_orientations(g, per_class=True):
-            result = solve_game(rep, STRONG_1)
-            for p in range(1 << max(g.n - 1, 0)):
-                yield rep.with_parity(p), result.member_win(p)
+            for p, win in solve_game(rep, STRONG_1).member_wins().items():
+                yield rep.with_parity(p), win
 
 
 def _suite_c1(name: str, graphs) -> SuiteResult:
@@ -255,12 +254,14 @@ def random_trapped_instance(rng: random.Random, n: int):
     return og, cop, robber
 
 
-def suite_trap(instances: int = 1000, seed: int = 20260823, max_n: int = 12) -> SuiteResult:
+def suite_trap(max_n: int = 12) -> SuiteResult:
     """Trapped robbers are captured within twice the cop's distance, with no
-    push ever landing next to the robber."""
+    push ever landing next to the robber: 1000 seeded instances, n <= max_n."""
+    if max_n < 2:
+        raise BadFamilyParamsError(f"trapped instances need max_n >= 2, got {max_n}")
     res = SuiteResult("trap")
-    rng = random.Random(seed)
-    for _ in range(instances):
+    rng = random.Random(20260823)
+    for _ in range(1000):
         n = rng.randrange(2, max_n + 1)
         og, cop, robber = random_trapped_instance(rng, n)
         res.checked += 1
@@ -279,27 +280,32 @@ def suite_trap(instances: int = 1000, seed: int = 20260823, max_n: int = 12) -> 
     return res
 
 
-def suite_monotonic(max_n: int = 5, k_max: int = 3) -> SuiteResult:
-    """More push power never hurts: strong <= weak <= no-push cop numbers."""
+MONOTONIC_K_MAX = 3
+
+
+def suite_monotonic(max_n: int = 5) -> SuiteResult:
+    """More push power never hurts: strong <= weak <= no-push cop numbers,
+    each searched up to MONOTONIC_K_MAX cops."""
     res = SuiteResult("monotonic")
     for g in _connected_graphs(max_n):
         for rep in enumerate_orientations(g, per_class=True):
-            weak: dict[int, SolveResult] = {}
-            strong: dict[int, SolveResult] = {}
+            # per cop count, the class solve's verdict for every member
+            weak: dict[int, dict[int, bool]] = {}
+            strong: dict[int, dict[int, bool]] = {}
 
             def class_win(cache, push, k, parity):
                 if k not in cache:
-                    cache[k] = solve_game(rep, GameVariant(push, k))
-                return cache[k].member_win(parity)
+                    cache[k] = solve_game(rep, GameVariant(push, k)).member_wins()
+                return cache[k][parity]
 
             for p in range(1 << max(g.n - 1, 0)):
                 member = rep.with_parity(p)
                 res.checked += 1
-                c = cop_number(member, PushAbility.NONE, k_max)
+                c = cop_number(member, PushAbility.NONE, MONOTONIC_K_MAX)
                 c_wp = next(
                     (
                         k
-                        for k in range(1, k_max + 1)
+                        for k in range(1, MONOTONIC_K_MAX + 1)
                         if class_win(weak, PushAbility.WEAK, k, p)
                     ),
                     None,
@@ -307,7 +313,7 @@ def suite_monotonic(max_n: int = 5, k_max: int = 3) -> SuiteResult:
                 c_sp = next(
                     (
                         k
-                        for k in range(1, k_max + 1)
+                        for k in range(1, MONOTONIC_K_MAX + 1)
                         if class_win(strong, PushAbility.STRONG, k, p)
                     ),
                     None,
@@ -321,11 +327,11 @@ def suite_monotonic(max_n: int = 5, k_max: int = 3) -> SuiteResult:
 
 # additional acceptance checks (not named verify suites)
 
-def check_directed_cycles(n_range=range(3, 9)) -> SuiteResult:
-    """Consistently oriented cycles: classical cop number 2, but one cop with
-    strong push wins."""
+def check_directed_cycles() -> SuiteResult:
+    """Consistently oriented cycles on 3..8 vertices: classical cop number 2,
+    but one cop with strong push wins."""
     res = SuiteResult("directed-cycles")
-    for n in n_range:
+    for n in range(3, 9):
         og = validate_graph(n, [(i, (i + 1) % n) for i in range(n)])
         res.checked += 1
         if solve_game(og, GameVariant(PushAbility.NONE, 1)).root_win:

@@ -78,11 +78,11 @@ def test_reachability_growth_properties_full():
 
 
 def test_trapped_robber_capture_bound():
-    report("trapped robber captured within 2*dist (1000 instances)", suite_trap(1000))
+    report("trapped robber captured within 2*dist (1000 instances)", suite_trap())
 
 
 def test_push_power_monotonicity():
-    report("c_sp <= c_wp <= c (n<=5, k<=3)", suite_monotonic(max_n=5, k_max=3))
+    report("c_sp <= c_wp <= c (n<=5, k<=3)", suite_monotonic(max_n=5))
 
 
 def test_directed_cycles_classical_vs_push():

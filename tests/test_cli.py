@@ -1,9 +1,12 @@
 import io
 import json
 
+import pytest
+
 from pushcops import verify
 from pushcops.cli import main
 from pushcops.engine import GameVariant, PushAbility, Trace, play_match
+from pushcops.errors import BadFamilyParamsError
 from pushcops.generators import complete, enumerate_orientations
 from pushcops.graph import parse_arcs, same_orientation, serialize_arcs, validate_graph
 from pushcops.pushdag import find_dag_push_set
@@ -43,6 +46,11 @@ class TestSolve:
 
     def test_bad_flag_exit_1(self):
         assert main(["solve", "--input", "x", "--push", "sideways"]) == 1
+
+    def test_cop_count_below_one_exit_1(self, tmp_path, capsys):
+        for cops in ("0", "-1"):
+            assert main(["solve", "--input", triangle_file(tmp_path), "--cops", cops]) == 1
+            assert "cop count must be at least 1" in capsys.readouterr().err
 
 
 class TestPushdag:
@@ -157,6 +165,11 @@ class TestSweep:
         assert len(errors) == 1 and len(clean) == 1
         assert clean[0]["cop_number"] == 1
 
+    def test_k_max_below_one_rejected(self):
+        job = {"family": "cycle", "params": {"n": 3}, "orient": "random", "k_max": 0}
+        with pytest.raises(BadFamilyParamsError):
+            run_sweep({"jobs": [job]})
+
     def test_bad_spec_exit_1(self, tmp_path, capsys):
         spec = tmp_path / "spec.json"
         spec.write_text("{not json")
@@ -176,6 +189,12 @@ class TestVerify:
         assert "(64 checks)" in capsys.readouterr().out
         assert main(["verify", "strategy-4regular", "--max-n", "5"]) == 0
         assert "(1024 checks)" in capsys.readouterr().out
+
+    def test_max_n_bounds_trap(self, capsys):
+        assert main(["verify", "trap", "--max-n", "3"]) == 0
+        assert "trap: pass (1000 checks)" in capsys.readouterr().out
+        assert main(["verify", "trap", "--max-n", "1"]) == 1
+        assert "max_n >= 2" in capsys.readouterr().err
 
     def test_small_suite_passes(self, capsys):
         assert main(["verify", "monotonic", "--max-n", "3"]) == 0

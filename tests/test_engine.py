@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -21,7 +22,7 @@ from pushcops.engine import (
     default_round_limit,
     play_match,
 )
-from pushcops.errors import IllegalActionError, IllegalStrategyActionError
+from pushcops.errors import BadVariantError, IllegalActionError, IllegalStrategyActionError
 from pushcops.graph import OrientedGraph, same_orientation, validate_graph
 from pushcops.strategies import RandomRobber, Strategy
 
@@ -161,6 +162,16 @@ class TestRoundLimitAndTrace:
         final = restored.replay()  # raises on any divergence
         assert restored.outcome == trace.outcome
         assert final.captured == (trace.outcome["type"] == "captured")
+
+    def test_cop_count_below_one_rejected(self):
+        with pytest.raises(BadVariantError):
+            GameVariant(PushAbility.STRONG, 0)
+        trace = play_match(triangle(), RandomCop(0), RandomRobber(1),
+                           GameVariant(PushAbility.STRONG, 1), max_rounds=2)
+        data = json.loads(trace.to_json())
+        data["variant"]["cops"] = 0
+        with pytest.raises(BadVariantError):
+            Trace.from_json(json.dumps(data))
 
     def test_illegal_strategy_action_is_attributed(self):
         class BadCop(Strategy):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from pushcops.engine import (
@@ -12,8 +14,8 @@ from pushcops.engine import (
 )
 from pushcops.errors import InternalInvariantViolation, NotFourRegularError
 from pushcops.four_regular import FourRegularStrategy
-from pushcops.generators import complete, enumerate_orientations, octahedron
-from pushcops.graph import is_trapped, validate_graph
+from pushcops.generators import circulant, complete, enumerate_orientations, octahedron
+from pushcops.graph import OrientedGraph, is_trapped, validate_graph
 from pushcops.solver import OptimalRobber, solve_game
 from pushcops.verify import worst_robber_line
 
@@ -58,6 +60,26 @@ class TestEveryRobberLine:
         og = next(enumerate_orientations(complete(5), per_class=True))
         with pytest.raises(InternalInvariantViolation, match="uncaptured after 3 rounds"):
             worst_robber_line(og, idle_cop, 3)
+
+
+class TestLargerFamilies:
+    def test_random_orientations_reach_the_late_scripts(self, monkeypatch):
+        """Every robber line from 100 seeded random orientations each of
+        C10(1,2) and C12(1,5) is captured, and between them these run the
+        scripts that K5, the octahedron and C8(1,2) never reach."""
+        ran = dict.fromkeys(["_nonedge_case2", "_walk_to_gadget", "_gadget_arrival"], 0)
+        for name in ran:
+            def counted(self, *args, _script=getattr(FourRegularStrategy, name), _name=name):
+                ran[_name] += 1
+                return (yield from _script(self, *args))
+
+            monkeypatch.setattr(FourRegularStrategy, name, counted)
+        rng = random.Random(0)
+        for g in (circulant(10, (1, 2)), circulant(12, (1, 5))):
+            for _ in range(100):
+                og = OrientedGraph(g, rng.getrandbits(g.m), rng.getrandbits(g.n - 1))
+                worst_robber_line(og, FourRegularStrategy, 4 * g.n)
+        assert all(ran.values()), ran
 
 
 class TestMatches:

@@ -16,7 +16,6 @@ from pushcops.solver import (
     OptimalRobber,
     audit_levels,
     cop_number,
-    solve,
     solve_game,
 )
 from pushcops.strategies import OracleCopStrategy
@@ -46,7 +45,7 @@ class TestArena:
         assert arena.parities == [triangle().push(1).parity]
 
     def test_wrong_parity_rejected(self):
-        result = solve(Arena(triangle(), GameVariant(PushAbility.NONE, 1)))
+        result = solve_game(triangle(), GameVariant(PushAbility.NONE, 1))
         with pytest.raises(QueriedOnWrongArenaError):
             result.level_of(GameState(3, (0,), 1, Turn.COP))
 
@@ -66,14 +65,14 @@ class TestSolve:
     def test_member_win_matches_root(self):
         og = triangle().push(2)
         result = solve_game(og, GameVariant(PushAbility.STRONG, 1))
-        assert result.member_win(og.parity) == result.root_win
+        assert result.member_wins()[og.parity] == result.root_win
         assert result.member_rounds(og.parity) == result.capture_rounds
 
     def test_member_queries_reject_foreign_parity(self):
         result = solve_game(triangle(), GameVariant(PushAbility.NONE, 1))
-        for query in (result.member_rounds, result.member_win):
-            with pytest.raises(QueriedOnWrongArenaError):
-                query(2)
+        assert list(result.member_wins()) == [0]
+        with pytest.raises(QueriedOnWrongArenaError):
+            result.member_rounds(2)
 
     @given(st.integers(0, 10_000), st.integers(3, 5),
            st.sampled_from(["none", "weak", "strong"]), st.integers(1, 2))
@@ -83,7 +82,7 @@ class TestSolve:
     def test_fixpoint_audit(self, seed, n, push, k):
         """The kernel's levels satisfy the fixpoint equations of engine.Game."""
         og = random_oriented(random.Random(seed), n)
-        audit_levels(solve(Arena(og, GameVariant(PushAbility(push), k))))
+        audit_levels(solve_game(og, GameVariant(PushAbility(push), k)))
 
     @pytest.mark.parametrize("push", ["none", "weak", "strong"])
     @pytest.mark.parametrize("seed", [0, 1])
@@ -139,7 +138,7 @@ class TestLevelReaders:
            st.sampled_from(["none", "weak", "strong"]), st.integers(1, 2))
     @settings(max_examples=40, deadline=None)
     def test_block_readers_match_single_lookups(self, seed, n, push, k):
-        """member_rounds/member_win, the placement chain and max_level agree
+        """member_rounds/member_wins, the placement chain and max_level agree
         with values rebuilt from level_of over every cop tuple and robber."""
         og = random_oriented(random.Random(seed), n)
         result = solve_game(og, GameVariant(PushAbility(push), k))
@@ -149,11 +148,13 @@ class TestLevelReaders:
             levels = [result.level_of(GameState(parity, cfg, r, Turn.COP)) for r in range(n)]
             return None if None in levels else max(levels)
 
+        member_wins = result.member_wins()
+        assert list(member_wins) == arena.parities
         for p in arena.parities:
             wins = [w for w in (worst(p, cfg) for cfg in arena.cfgs) if w is not None]
             rounds = (min(wins) + 1) // 2 if wins else None
             assert result.member_rounds(p) == rounds
-            assert result.member_win(p) == (rounds is not None)
+            assert member_wins[p] == (rounds is not None)
         placed = [None if w is None else 1 + w for w in (worst(og.parity, c) for c in arena.cfgs)]
         for cfg, lv in zip(arena.cfgs, placed):
             state = GameState(og.parity, cfg, None, Turn.ROBBER_PLACEMENT)

@@ -12,6 +12,7 @@ from pushcops.pushdag import (
     dag_push_target,
     find_dag_push_set,
     normalize_single_source,
+    push_delta,
     single_source,
 )
 from pushcops.solver import OptimalRobber, solve_game
@@ -20,7 +21,6 @@ from pushcops.strategies import (
     StayRobber,
     StrongPushDagStrategy,
     TrapCaptureStrategy,
-    dag_push_delta,
 )
 from pushcops.verify import random_trapped_instance
 
@@ -112,4 +112,4 @@ class TestStrongPushDag:
                 target = normalize_single_source(dag_push_target(member))[0]
                 assert same_orientation(strategy.target, target)
                 assert strategy.source == single_source(target)
-                assert strategy.push_budget == len(dag_push_delta(member, target))
+                assert strategy.push_budget == len(push_delta(member, target))

@@ -1,5 +1,3 @@
-import pytest
-
 from pushcops import verify
 from pushcops.errors import InternalInvariantViolation
 from pushcops.four_regular import FourRegularStrategy
@@ -14,7 +12,10 @@ class TestOneCopSuites:
         assert verify.suite_theorem_3degen(max_n=3).checked == 23
 
     def test_repro_is_the_losing_member(self, monkeypatch):
-        monkeypatch.setattr(SolveResult, "member_win", lambda self, parity: parity != 1)
+        monkeypatch.setattr(
+            SolveResult, "member_wins",
+            lambda self: {p: p != 1 for p in self.arena.parities},
+        )
         res = verify.suite_theorem_3degen(max_n=2)
         assert not res.passed and res.repro.parity == 1
         sweep = verify.open_problem_sweep(max_n=2)
