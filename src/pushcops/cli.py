@@ -58,6 +58,7 @@ def cmd_solve(args) -> int:
                     "states": result.arena.total,
                     "iterations": result.iterations,
                     "max_level": result.max_level,
+                    "phase_s": result.phase_s,
                     # ru_maxrss is in KiB on Linux
                     "peak_rss_mb": round(
                         resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1

@@ -135,6 +135,10 @@ class Game:
     def orientation(self, state: GameState) -> OrientedGraph:
         return self._oriented(state.parity)
 
+    def pushed(self, parity: int, v: int) -> OrientedGraph:
+        """The orientation at `parity` after pushing v, from the same cache."""
+        return self._oriented(push_parity(parity, v, self.graph.n))
+
     def out_neighbors(self, parity: int, v: int) -> tuple[int, ...]:
         return self._oriented(parity).out_neighbors(v)
 

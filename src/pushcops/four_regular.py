@@ -34,6 +34,7 @@ class FourRegularStrategy(Strategy):
         self.endgame_moves = 0
         self.audit_log: list[dict] = []
         # live view refreshed on every cop turn, read by the script generators
+        self.cur_game: Game | None = None
         self.cur_og: OrientedGraph | None = None
         self.cur_robber: int | None = None
         self.cur_cop: int | None = None
@@ -46,7 +47,8 @@ class FourRegularStrategy(Strategy):
         og = game.orientation(state)
         r = state.robber
         self.visited.add(r)
-        self.cur_og, self.cur_robber, self.cur_cop = og, r, state.cops[0]
+        self.cur_game, self.cur_og = game, og
+        self.cur_robber, self.cur_cop = r, state.cops[0]
         if self.trap is not None:
             return self.trap(game, state)
         if is_trapped(og, r):
@@ -70,7 +72,7 @@ class FourRegularStrategy(Strategy):
         self.mode = "endgame"
 
     def _audit(self, og: OrientedGraph, agent):
-        after = og.push(agent.vertex) if isinstance(agent, Push) else og
+        after = self.cur_game.pushed(og.parity, agent.vertex) if isinstance(agent, Push) else og
         ok = all(after.out_degree(w) <= 1 for w in self.visited)
         self.audit_log.append({"mode": self.mode, "invariant": ok})
         if self.mode == "invariant":
@@ -105,7 +107,8 @@ class FourRegularStrategy(Strategy):
         if d == 3:
             # base case restores the invariant; the induction case corners the
             # robber between u and its now-trapped predecessor
-            if all(og.push(u).out_degree(w) <= 1 for w in self.visited):
+            after = self.cur_game.pushed(og.parity, u)
+            if all(after.out_degree(w) <= 1 for w in self.visited):
                 self.mode = "invariant"
             else:
                 self._note_endgame()

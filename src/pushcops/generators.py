@@ -6,7 +6,7 @@ import itertools
 import random
 from typing import Iterator
 
-from .errors import BadFamilyParamsError, DisconnectedError, TooLargeError
+from .errors import BadFamilyParamsError, TooLargeError
 from .graph import OrientedGraph, UnderlyingGraph
 
 MAX_ENUM_VERTICES = 7
@@ -90,36 +90,74 @@ def grid(rows: int, cols: int) -> UnderlyingGraph:
 def enumerate_connected_graphs(
     n: int, max_degree: int | None = None
 ) -> Iterator[UnderlyingGraph]:
-    """All labeled connected simple graphs on n vertices, in edge-bitmask order."""
+    """All labeled connected simple graphs on n vertices, in edge-bitmask order.
+
+    Bit i of the mask is the i-th pair of `itertools.combinations(range(n), 2)`.
+    The low third of those slots is built once as (edges, neighbour bitmask
+    per vertex) for each of its subsets, the high slots are streamed, and a
+    mask is the two halves' neighbour masks OR-ed, kept only if a bitmask
+    search from vertex 0 reaches every vertex.  Slots are in lexicographic
+    order, so the low edges followed by the high ones are already sorted.
+    """
     if n > MAX_ENUM_VERTICES:
         raise TooLargeError(f"n={n} exceeds enumeration cap {MAX_ENUM_VERTICES}", n)
     slots = list(itertools.combinations(range(n), 2))
+    cut = len(slots) // 3
+    low = list(_edge_subsets(n, slots[:cut]))
+    full = (1 << n) - 1
+    # members[s]: the vertices of bitmask s in ascending order, an `adj` row.
+    # Tuples here are built from lists: tuple() of an iterator over-allocates
+    # and shrinks, and the shrunk tuples, once freed, pile up in CPython's
+    # per-size free lists (up to 2,000 each), so RSS would creep up call
+    # after call.
+    members = [tuple([v for v in range(n) if s >> v & 1]) for s in range(1 << n)]
+    for high_edges, high_nbrs in _edge_subsets(n, slots[cut:]):
+        need = n - 1 - len(high_edges)
+        for low_edges, low_nbrs in low:
+            if len(low_edges) < need:
+                continue
+            nbrs = [a | b for a, b in zip(low_nbrs, high_nbrs)]
+            if max_degree is not None and max(map(int.bit_count, nbrs), default=0) > max_degree:
+                continue
+            reached = todo = full & 1
+            while todo:
+                v = todo.bit_length() - 1
+                new = nbrs[v] & ~reached
+                reached |= new
+                todo = (todo ^ 1 << v) | new
+            if reached == full:
+                yield UnderlyingGraph(
+                    n, low_edges + high_edges, tuple([members[s] for s in nbrs])
+                )
+
+
+def _edge_subsets(
+    n: int, slots: list[tuple[int, int]]
+) -> Iterator[tuple[tuple[tuple[int, int], ...], list[int]]]:
+    """(sorted edges, neighbour bitmask per vertex) of every subset of `slots`,
+    in the order of the subset's bitmask."""
     for mask in range(1 << len(slots)):
-        pairs = [slots[i] for i in range(len(slots)) if (mask >> i) & 1]
-        if len(pairs) < n - 1:
-            continue
-        try:
-            g = UnderlyingGraph.from_edges(n, pairs)
-        except DisconnectedError:
-            continue
-        if max_degree is not None and g.max_degree() > max_degree:
-            continue
-        yield g
+        edges = tuple([slots[i] for i in range(len(slots)) if mask >> i & 1])
+        nbrs = [0] * n
+        for u, v in edges:
+            nbrs[u] |= 1 << v
+            nbrs[v] |= 1 << u
+        yield edges, nbrs
 
 
-def _spanning_tree_edges(g: UnderlyingGraph) -> set[int]:
-    eindex = g._eindex
-    seen = {0}
-    tree: set[int] = set()
+def _dfs_parents(g: UnderlyingGraph) -> list[int]:
+    """Parent of each vertex in the depth-first tree from vertex 0 (-1 at the root)."""
+    parent = [-1] * g.n
+    seen = 1
     stack = [0]
     while stack:
         v = stack.pop()
         for w in g.adj[v]:
-            if w not in seen:
-                seen.add(w)
-                tree.add(eindex[(v, w) if v < w else (w, v)])
+            if not seen >> w & 1:
+                seen |= 1 << w
+                parent[w] = v
                 stack.append(w)
-    return tree
+    return parent
 
 
 def enumerate_orientations(g: UnderlyingGraph, per_class: bool = False) -> Iterator[OrientedGraph]:
@@ -135,11 +173,12 @@ def enumerate_orientations(g: UnderlyingGraph, per_class: bool = False) -> Itera
         for ref in range(1 << g.m):
             yield OrientedGraph(g, ref, 0)
         return
-    tree = _spanning_tree_edges(g)
+    parent = _dfs_parents(g)
     refs = [0]  # refs[bits] sets the i-th non-tree edge for each bit i of bits
-    for e in range(g.m):
-        if e not in tree:
-            refs += [r | 1 << e for r in refs]
+    for e, (u, v) in enumerate(g.edges):
+        if parent[v] != u and parent[u] != v:
+            bit = 1 << e
+            refs += [r | bit for r in refs]
     for ref in refs:
         yield OrientedGraph(g, ref, 0)
 

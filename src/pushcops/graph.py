@@ -145,6 +145,14 @@ class OrientedGraph:
     ref_bits: int
     parity: int = 0
 
+    def __init__(self, graph: UnderlyingGraph, ref_bits: int, parity: int = 0):
+        # frozen, so the fields go straight into the instance dict, as the
+        # table cache does: half the cost of three object.__setattr__ calls
+        d = self.__dict__
+        d["graph"] = graph
+        d["ref_bits"] = ref_bits
+        d["parity"] = parity
+
     @property
     def n(self) -> int:
         return self.graph.n

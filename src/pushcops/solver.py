@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from time import perf_counter
 from typing import Iterator
 
 from .errors import QueriedOnWrongArenaError, TooLargeError
@@ -309,6 +310,9 @@ class SolveResult:
     planes: tuple[list[bytes], list[bytes]]
     placed: list[int | None]
     iterations: int  # fixpoint rounds run
+    # wall seconds spent building the arena and layout, in the fixpoint, and
+    # in the placement chain
+    phase_s: dict[str, float] = field(compare=False)
 
     def level_of(self, state: GameState) -> int | None:
         """Capture level of one state, or None if it is a robber win."""
@@ -386,13 +390,20 @@ class SolveResult:
 def solve_game(og: OrientedGraph, variant: GameVariant) -> SolveResult:
     """Attractor of the capture states over the arena of `og` and `variant`,
     with the cops as the MAX player."""
+    t0 = perf_counter()
     arena = Arena(og, variant)
-    planes, iterations = fixpoint(BitLayout(arena))
+    layout = BitLayout(arena)
+    t1 = perf_counter()
+    planes, iterations = fixpoint(layout)
+    t2 = perf_counter()
     # placement chain: the robber (MIN) picks a start, then the cops (MAX) a cfg
     worst = _worst_replies(arena, planes[0], arena.par_index[arena.initial_parity])
     placed = [None if lv is None else 1 + lv for lv in worst]
     wins = [lv for lv in placed if lv is not None]
-    return SolveResult(arena, planes, [1 + min(wins) if wins else None, *placed], iterations)
+    phase_s = {"layout": t1 - t0, "fixpoint": t2 - t1, "placement": perf_counter() - t2}
+    return SolveResult(
+        arena, planes, [1 + min(wins) if wins else None, *placed], iterations, phase_s
+    )
 
 
 def audit_levels(result: SolveResult) -> None:

@@ -26,6 +26,9 @@ class TestSolve:
         out = json.loads(capsys.readouterr().out)
         assert code == 0
         assert out.pop("peak_rss_mb") > 0
+        phase_s = out.pop("phase_s")
+        assert sorted(phase_s) == ["fixpoint", "layout", "placement"]
+        assert all(t >= 0 for t in phase_s.values())
         assert out == {
             "schema": 1,
             "verdict": "cop-win",

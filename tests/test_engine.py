@@ -136,6 +136,15 @@ class TestOrientationCache:
             for v in range(og.n):
                 assert game.out_neighbors(p, v) == first.out_neighbors(v)
 
+    def test_pushed_reads_the_same_cache(self):
+        og = validate_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
+        game = Game(og, GameVariant(PushAbility.STRONG, 1))
+        for p in range(1 << (og.n - 1)):
+            for v in range(og.n):
+                after = game.pushed(p, v)
+                assert after == og.with_parity(p).push(v)
+                assert after is game.orientation(GameState(after.parity, (0,), 1, Turn.COP))
+
 
 class TestRoundLimitAndTrace:
     def test_default_round_limit_formula(self):

@@ -1,8 +1,9 @@
+import hashlib
 import itertools
 
 import pytest
 
-from pushcops.errors import BadFamilyParamsError, TooLargeError
+from pushcops.errors import BadFamilyParamsError, DisconnectedError, TooLargeError
 from pushcops.generators import (
     circulant,
     complete,
@@ -100,6 +101,47 @@ class TestEnumeration:
     def test_enumeration_cap(self):
         with pytest.raises(TooLargeError):
             next(enumerate_connected_graphs(8))
+
+    @pytest.mark.parametrize("max_degree", [None, 2, 3, 4])
+    @pytest.mark.parametrize("n", range(6))
+    def test_stream_matches_from_edges_over_every_mask(self, n, max_degree):
+        """Oracle: the validating constructor over every edge mask, ascending."""
+        slots = list(itertools.combinations(range(n), 2))
+        expected = []
+        for mask in range(1 << len(slots)):
+            try:
+                g = UnderlyingGraph.from_edges(
+                    n, [slots[i] for i in range(len(slots)) if mask >> i & 1]
+                )
+            except DisconnectedError:
+                continue
+            if max_degree is None or g.max_degree() <= max_degree:
+                expected.append((g.n, g.edges, g.adj))
+        got = [(g.n, g.edges, g.adj) for g in enumerate_connected_graphs(n, max_degree)]
+        assert got == expected
+
+    def test_n6_stream_is_pinned(self):
+        """Graph order and every class representative's ref bits, frozen."""
+        graph_hash, ref_hash = hashlib.sha256(), hashlib.sha256()
+        graphs = reps = 0
+        for g in enumerate_connected_graphs(6):
+            graphs += 1
+            graph_hash.update(repr(g.edges).encode())
+            for rep in enumerate_orientations(g, per_class=True):
+                reps += 1
+                ref_hash.update(rep.ref_bits.to_bytes(2, "little"))
+        assert (graphs, reps) == (26_704, 436_944)  # A001187; classes 2^(m-n+1) each
+        assert graph_hash.hexdigest() == (
+            "e71b4400048fbfa83af0d87b7c6b79fd0b3b0955d5ab3ef48d56dd6db16ecd41"
+        )
+        assert ref_hash.hexdigest() == (
+            "7741ba90c5c8fc049fdcbdf8241e2e3a947d506bf8344b1e8d52b13af74c6bbd"
+        )
+
+    @pytest.mark.slow
+    def test_n7_counts(self):
+        assert sum(1 for _ in enumerate_connected_graphs(7)) == 1_866_256  # A001187
+        assert sum(1 for _ in enumerate_connected_graphs(7, max_degree=4)) == 859_130
 
 
 class TestOrientations:

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -57,6 +58,39 @@ class TestConstruction:
         g = UnderlyingGraph.from_edges(3, [(2, 1), (1, 0), (0, 2)])
         assert g.edges == ((0, 1), (0, 2), (1, 2))
         assert g.degree(0) == 2 and g.max_degree() == 2
+
+
+class TestOrientedGraphValue:
+    """A frozen value: fields compare, hash and print; the cached tables do not."""
+
+    def setup_method(self):
+        self.g = UnderlyingGraph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
+
+    def test_fields_are_read_only(self):
+        og = OrientedGraph(self.g, 5, 1)
+        for name, value in (("parity", 0), ("ref_bits", 0), ("graph", self.g)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(og, name, value)
+        assert (og.graph, og.ref_bits, og.parity) == (self.g, 5, 1)
+
+    def test_eq_hash_repr_ignore_cached_tables(self):
+        a, b = OrientedGraph(self.g, 5, 1), OrientedGraph(self.g, 5, 1)
+        before = (hash(a), repr(a))
+        a.out_neighbors(0)  # fills a's neighbour-table cache only
+        assert a == b and hash(a) == hash(b) == before[0]
+        assert repr(a) == repr(b) == before[1] == (
+            f"OrientedGraph(graph={self.g!r}, ref_bits=5, parity=1)"
+        )
+        assert OrientedGraph(self.g, 5) == OrientedGraph(self.g, 5, 0)
+        assert a != OrientedGraph(self.g, 5, 2) and a != OrientedGraph(self.g, 4, 1)
+
+    def test_replace(self):
+        og = OrientedGraph(self.g, 5, 1)
+        og.out_neighbors(0)
+        other = dataclasses.replace(og, parity=2)
+        assert other == og.with_parity(2) and other.ref_bits == 5
+        assert other.out_neighbors(0) == og.with_parity(2).out_neighbors(0)
+        assert [f.name for f in dataclasses.fields(og)] == ["graph", "ref_bits", "parity"]
 
 
 class TestArcFormat:
