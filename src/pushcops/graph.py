@@ -29,6 +29,15 @@ class UnderlyingGraph:
     edges: tuple[tuple[int, int], ...]
     adj: tuple[tuple[int, ...], ...] = field(compare=False)
 
+    def __init__(self, n: int, edges: tuple[tuple[int, int], ...],
+                 adj: tuple[tuple[int, ...], ...]):
+        # frozen, so the fields go straight into the instance dict, as in
+        # OrientedGraph; `from_edges` is the validating constructor
+        d = self.__dict__
+        d["n"] = n
+        d["edges"] = edges
+        d["adj"] = adj
+
     @staticmethod
     def from_edges(n: int, pairs: Sequence[tuple[int, int]]) -> "UnderlyingGraph":
         seen = set()
@@ -333,7 +342,11 @@ def parse_arcs(text: str) -> OrientedGraph:
 
 
 def serialize_arcs(og: OrientedGraph) -> str:
+    ref, p = og.ref_bits, og.parity << 1  # bit w of p is parity_bit(og.parity, w)
     lines = [f"{og.n} {og.m}"]
-    lines.extend(f"{u} {v}" for u, v in og.arcs())
+    for e, (u, v) in enumerate(og.graph.edges):
+        if ((ref >> e) ^ (p >> u) ^ (p >> v)) & 1:  # edge_flipped(e), inline
+            u, v = v, u
+        lines.append(f"{u} {v}")
     return "\n".join(lines) + "\n"
 

@@ -19,16 +19,32 @@ from .errors import QueriedOnWrongArenaError, TooLargeError
 from .engine import Game, GameState, GameVariant, PushAbility, Turn
 from .graph import OrientedGraph, parity_bit
 
-# Memory budget of one solve: about 2 GB at 100 B per arena state.  Levels
-# stay as bit planes (about 1 B/state retained), so the per-arc move masks
-# of `BitLayout` dominate the tracemalloc peak: 12.0 B/state on C11(1,2)
-# with strong push and 1 cop (247,820 states, 2.98 MB), 11.0 on C10(1,2)
-# with weak push.  With k >= 2 every bitset also covers the unsorted cop
-# tuples and each cop has its own masks: 17.2 B/state for 2 strong-push cops
-# on C7(1,2), 16.2 for 2 weak-push cops on Q3, 67.0 for 3 strong-push cops
-# on K7.  The masks grow with the arc count, so denser graphs with 3 cops
-# go higher still; the budget keeps that headroom.
-STATE_CAP = 2 * 10**9 // 100
+# Memory budget of one solve.  Its peak is one bit per layout position in
+# every full-width bitset it holds at once: BitLayout's masks (see
+# `solve_bytes`) plus the fixpoint's working set and level planes.  Over 13
+# tracemalloc-measured solves the second part was 21-32 bitsets (32 with
+# 31 rounds), so `solve_bytes` allows 40.  Per arena state that measured
+# 3.3 B/state on C11(1,2) with strong push and 1 cop (247,820 states),
+# 4.2 on C10(1,2) with weak push, 3.5 on Q4 with strong push (16.8 M
+# states), 6.4 for 2 strong-push cops on C7(1,2), 8.2 for 2 weak-push cops
+# on Q3 and 23.6 for 3 strong-push cops on K7; it grows with the cop count,
+# since every bitset also covers the unsorted cop tuples (111 B/state for 4
+# cops on K8, 326 for 5 weak-push cops on K6), so no state count bounds it.
+MEMORY_BUDGET = 2 * 10**9
+
+
+def solve_bytes(og: OrientedGraph, variant: GameVariant) -> int:
+    """Estimated peak bytes of solving `og` under `variant`."""
+    n, k = og.n, variant.cops
+    blocks = 1 if variant.push is PushAbility.NONE else 1 << max(n - 1, 0)
+    held = 40  # fixpoint working set and level planes
+    held += 2 * len({v - u for u, v in og.graph.edges}) * (k + 1)  # moves by offset
+    held += k * (k - 1) // 2 * (n - 1)  # cop swaps
+    if blocks > 1:
+        held += n - 1  # parity flips
+    if variant.push is PushAbility.WEAK:
+        held += k * n  # cop positions
+    return blocks * n ** (k + 1) * held // 8
 
 
 def _tuple_index(cfg: tuple[int, ...], n: int) -> int:
@@ -48,11 +64,13 @@ class Arena:
         self.initial_parity = og.parity
         self.variant = variant
         n = self.graph.n
+        need = solve_bytes(og, variant)
+        if need > MEMORY_BUDGET:
+            budget = MEMORY_BUDGET // 10**6
+            raise TooLargeError(f"solve would need about {need // 10**6} MB (budget {budget} MB)", need)
         n_par = 1 if variant.push is PushAbility.NONE else 1 << max(n - 1, 0)
         n_cfg = math.comb(n + variant.cops - 1, variant.cops)
         total = n_par * n_cfg * n * 2 + 1 + n_cfg
-        if total > STATE_CAP:
-            raise TooLargeError(f"arena would need {total} states (cap {STATE_CAP})", total)
         if variant.push is PushAbility.NONE:
             self.parities = [og.parity]
         else:
@@ -118,8 +136,10 @@ class BitLayout:
 
     Position p * block + c * n + r is parity block p, cop tuple c read as k
     base-n digits with cop 0 most significant, and robber r.  A move along
-    one arc, for every position at once, is a shift masked by "mover on the
-    tail and the arc present in this parity"; a push swaps parity blocks.
+    a -> b, for every position at once, is a pull by (b - a) times the
+    mover's digit width, masked by "mover on a and the arc present in this
+    parity".  Arcs with the same offset share one shift, so each mover keeps
+    one OR-ed mask per vertex offset; a push swaps parity blocks.
     """
 
     def __init__(self, arena: Arena):
@@ -130,35 +150,45 @@ class BitLayout:
         self.blocks = len(arena.parities)
         self.size = self.blocks * arena.block
         self.full = (1 << self.size) - 1
-        # pbit[v]: positions whose parity gives vertex v push-parity 1
+        # low[v]: positions whose parity gives vertex v push-parity 0
         if self.blocks == 1:
-            pbit = [self.full if parity_bit(arena.parities[0], v) else 0 for v in range(n)]
+            low = [0 if parity_bit(arena.parities[0], v) else self.full for v in range(n)]
+            self._flips: list[tuple[int, int]] = []
         else:
-            pbit = [0]
+            low = [self.full]
             for t in range(n - 1):
                 run = (1 << t) * arena.block
-                pbit.append(_tile(((1 << run) - 1) << run, 2 * run, self.blocks >> (t + 1)))
-        # bit-t-clear masks for swapping parity blocks
-        self._flips = [((1 << t) * arena.block, self.full ^ pbit[t + 1]) for t in range(n - 1)]
+                low.append(_tile((1 << run) - 1, 2 * run, self.blocks >> (t + 1)))
+            # bit-t-clear masks for swapping parity blocks
+            self._flips = [((1 << t) * arena.block, low[t + 1]) for t in range(n - 1)]
 
         def arc(a: int, b: int) -> int:
             e = arena.graph.edge_index(a, b)
-            flipped = pbit[a] ^ pbit[b]
+            flipped = low[a] ^ low[b]
             return flipped if ((arena.ref_bits >> e) & 1) ^ (a > b) else self.full ^ flipped
 
-        arcs = [(a, b, arc(a, b)) for a in range(n) for b in arena.graph.adj[a]]
-        robber0 = _tile(1, n, self.size // n)
-        self.robber_at = [robber0 << a for a in range(n)]
-        self.robber_moves = [(b - a, self.robber_at[a] & m) for a, b, m in arcs]
         # cop j steps by n**(k-1-j) tuple positions, each n bits wide
-        self.cop_at: list[list[int]] = []
-        self.cop_moves: list[list[tuple[int, int]]] = []
-        for j in range(k):
-            w = n ** (k - j)
-            cop0 = _tile((1 << w) - 1, n * w, self.size // (n * w))
-            at = [cop0 << (a * w) for a in range(n)]
-            self.cop_at.append(at)
-            self.cop_moves.append([((b - a) * w, at[a] & m) for a, b, m in arcs])
+        cop_w = [n ** (k - j) for j in range(k)]
+        widths = [1, *cop_w]  # robber, then each cop
+        at0 = [_tile((1 << w) - 1, n * w, self.size // (n * w)) for w in widths]
+        moves: list[dict[int, int]] = [{} for _ in widths]
+        weak = self.ability is PushAbility.WEAK
+        self.cop_at: list[list[int]] = [[] for _ in range(k)] if weak else []
+        hit = 0
+        for a in range(n):
+            at = [x << a * w for x, w in zip(at0, widths)]
+            for j, cop in enumerate(at[1:]):
+                hit |= cop & at[0]
+                if weak:
+                    self.cop_at[j].append(cop)
+            for b in arena.graph.adj[a]:
+                m = arc(a, b)
+                for acc, x, w in zip(moves, at, widths):
+                    d = (b - a) * w
+                    acc[d] = acc.get(d, 0) | (x & m)
+        self._capture = hit
+        self.robber_moves = list(moves[0].items())
+        self.cop_moves = [list(acc.items()) for acc in moves[1:]]
         # with k >= 2, cop_pre keeps the sorted cop tuples, then copies them
         # to every ordering by swapping adjacent cops along a reduced word of
         # the longest permutation (subword property)
@@ -171,13 +201,15 @@ class BitLayout:
         self._swaps: list[tuple[int, int]] = []
         for i in range(k - 1):
             for j in range(i, -1, -1):
-                w = n ** (k - j) - n ** (k - 1 - j)
-                at, nxt = self.cop_at[j], self.cop_at[j + 1]
+                # cop j on a and cop j + 1 on a + d: a run of w bits at digit
+                # pair (a, a + d) of each period of n * n * w bits
+                w, period = cop_w[j + 1], n * cop_w[j]
                 for d in range(1, n):
-                    m = 0
+                    unit = 0
                     for a in range(n - d):
-                        m |= at[a] & nxt[a + d]
-                    self._swaps.append((d * w, m))
+                        unit |= ((1 << w) - 1) << (a * (n + 1) + d) * w
+                    m = _tile(unit, period, self.size // period)
+                    self._swaps.append((d * (cop_w[j] - w), m))
 
     def push(self, x: int, v: int) -> int:
         """The bitset pulled back through a push of vertex v."""
@@ -187,11 +219,7 @@ class BitLayout:
 
     def capture(self) -> int:
         """Positions with the robber on some cop's vertex."""
-        hit = 0
-        for at in self.cop_at:
-            for a in range(self.n):
-                hit |= at[a] & self.robber_at[a]
-        return hit
+        return self._capture
 
     def robber_pre(self, won: int) -> int:
         """Positions where the robber, to move, can only stay or move into `won`."""

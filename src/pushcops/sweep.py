@@ -38,6 +38,8 @@ CSV_HEADER = [
     "cop_number",
     "capture_rounds",
     "states",
+    "iterations",
+    "max_level",
     "runtime_ms",
     "error",
 ]
@@ -102,7 +104,7 @@ class SweepReport:
     def to_json(self) -> str:
         return json.dumps(
             {
-                "schema": 1,
+                "schema": 2,
                 "rows": self.rows,
                 "aggregate": {
                     "instances": len(self.rows),
@@ -127,6 +129,8 @@ def sweep_row(instance_id: str, family: str, og: OrientedGraph, push: PushAbilit
         "cop_number": "",
         "capture_rounds": "",
         "states": 0,
+        "iterations": "",
+        "max_level": "",
         "runtime_ms": 0,
         "error": "",
     }
@@ -143,6 +147,9 @@ def sweep_row(instance_id: str, family: str, og: OrientedGraph, push: PushAbilit
         else:
             row["verdict"] = "robber-win"
             row["cop_number"] = f">{k_max}"
+        # from the solve that decided the row
+        row["iterations"] = result.iterations
+        row["max_level"] = result.max_level
     except PushcopsError as exc:
         row["error"] = str(exc)
     row["runtime_ms"] = round((time.perf_counter() - started) * 1000, 3)

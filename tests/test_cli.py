@@ -7,9 +7,10 @@ from pushcops import verify
 from pushcops.cli import main
 from pushcops.engine import GameVariant, PushAbility, Trace, play_match
 from pushcops.errors import BadFamilyParamsError
-from pushcops.generators import complete, enumerate_orientations
+from pushcops.generators import complete, cycle, enumerate_orientations, random_orientation
 from pushcops.graph import parse_arcs, same_orientation, serialize_arcs, validate_graph
 from pushcops.pushdag import find_dag_push_set
+from pushcops.solver import solve_game
 from pushcops.strategies import ManualStrategy, RandomRobber
 from pushcops.sweep import CSV_HEADER, run_sweep
 
@@ -150,6 +151,13 @@ class TestSweep:
         assert len(report.rows) == 4
         assert all(set(r) == set(CSV_HEADER) for r in report.rows)
         assert all(r["error"] == "" for r in report.rows)
+        assert json.loads(report.to_json())["schema"] == 2
+        for r in report.rows:
+            # the last solve decided the row: the cop number, else k_max
+            k = r["cop_number"] if r["verdict"] == "cop-win" else 3
+            og = random_orientation(cycle(r["n"]), 0)
+            result = solve_game(og, GameVariant(PushAbility.NONE, k))
+            assert (r["iterations"], r["max_level"]) == (result.iterations, result.max_level)
 
     def test_error_lands_in_row(self, tmp_path):
         # oversized instance: the solver refuses, the sweep keeps going
@@ -167,6 +175,8 @@ class TestSweep:
         clean = [r for r in report.rows if not r["error"]]
         assert len(errors) == 1 and len(clean) == 1
         assert clean[0]["cop_number"] == 1
+        assert errors[0]["iterations"] == errors[0]["max_level"] == ""
+        assert clean[0]["iterations"] >= 1 and clean[0]["max_level"] >= 1
 
     def test_k_max_below_one_rejected(self):
         job = {"family": "cycle", "params": {"n": 3}, "orient": "random", "k_max": 0}

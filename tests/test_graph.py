@@ -93,10 +93,30 @@ class TestOrientedGraphValue:
         assert [f.name for f in dataclasses.fields(og)] == ["graph", "ref_bits", "parity"]
 
 
+class TestUnderlyingGraphValue:
+    def test_frozen_value_ignores_adj_and_edge_cache(self):
+        g = UnderlyingGraph.from_edges(3, [(0, 1), (1, 2)])
+        h = UnderlyingGraph(3, ((0, 1), (1, 2)), ((1,), (0, 2), (1,)))
+        g.edge_index(1, 2)  # fills g's edge-index cache only
+        assert g == h and hash(g) == hash(h) and repr(g) == repr(h)
+        assert repr(g) == "UnderlyingGraph(n=3, edges=((0, 1), (1, 2)), adj=((1,), (0, 2), (1,)))"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            g.n = 4
+        assert dataclasses.replace(g, adj=()) == g != UnderlyingGraph(3, ((0, 1),), ())
+        assert [f.name for f in dataclasses.fields(g)] == ["n", "edges", "adj"]
+
+
 class TestArcFormat:
     def test_round_trip(self):
         og = triangle()
         assert same_orientation(parse_arcs(serialize_arcs(og)), og)
+
+    @given(st.integers(0, 10_000), st.integers(1, 8))
+    @settings(max_examples=50, deadline=None)
+    def test_serialize_matches_arcs(self, seed, n):
+        og = random_oriented(random.Random(seed), n)
+        lines = [f"{og.n} {og.m}", *(f"{u} {v}" for u, v in og.arcs())]
+        assert serialize_arcs(og) == "\n".join(lines) + "\n"
 
     def test_comments_and_blanks(self):
         text = "# a triangle\n3 3\n0 1\n\n1 2  # forward\n2 0\n"

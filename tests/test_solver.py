@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 import tracemalloc
@@ -7,15 +8,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pushcops.engine import Game, GameState, GameVariant, PushAbility, Turn, play_match
-from pushcops.errors import NotCopWinError, QueriedOnWrongArenaError
-from pushcops.generators import circulant
+from pushcops.errors import NotCopWinError, QueriedOnWrongArenaError, TooLargeError
+from pushcops.generators import circulant, complete, hypercube
 from pushcops.graph import OrientedGraph, validate_graph
 from pushcops.solver import (
+    MEMORY_BUDGET,
     Arena,
     OptimalCop,
     OptimalRobber,
     audit_levels,
     cop_number,
+    solve_bytes,
     solve_game,
 )
 from pushcops.strategies import OracleCopStrategy
@@ -89,6 +92,24 @@ class TestSolve:
     def test_fixpoint_audit_three_cops(self, seed, push):
         og = random_oriented(random.Random(seed), 3)
         audit_levels(solve_game(og, GameVariant(PushAbility(push), 3)))
+
+    def test_kernel_output_is_pinned(self):
+        """Planes, placement levels and round counts of 420 seeded solves, frozen."""
+        digest = hashlib.sha256()
+        solves = 0
+        for n in range(1, 7):
+            for push in PushAbility:
+                for k in (1, 2, 3) if n <= 4 else (1,):
+                    for seed in range(10):
+                        og = random_oriented(random.Random(f"{n}-{push.value}-{k}-{seed}"), n)
+                        result = solve_game(og, GameVariant(push, k))
+                        solved = (result.planes, result.placed, result.iterations)
+                        digest.update(repr(solved).encode())
+                        solves += 1
+        assert solves == 420
+        assert digest.hexdigest() == (
+            "0fcd21240c6c952941f595c2a83c2f1d5de609920b8fd6d05a950ba0fcde41f6"
+        )
 
     def test_cop_number_directed_cycle(self):
         og = directed_cycle(5)
@@ -164,18 +185,35 @@ class TestLevelReaders:
         assert result.level_of(root) == (1 + min(wins) if wins else None)
         assert result.max_level == max(lv for lv in result.level if lv is not None)
 
-    def test_bytes_per_state(self):
-        """A C11(1,2) strong-push one-cop solve peaks below 15 B/state (tracemalloc)."""
+    @staticmethod
+    def traced_bytes_per_state(g, push, k):
+        """tracemalloc peak per arena state of one seeded solve, after checking
+        that the memory guard's estimate covers the peak."""
         rng = random.Random(0)
-        g = circulant(11, (1, 2))
         og = OrientedGraph(g, rng.getrandbits(g.m), rng.getrandbits(g.n - 1))
+        variant = GameVariant(PushAbility(push), k)
         tracemalloc.start()
         try:
-            result = solve_game(og, GameVariant(PushAbility.STRONG, 1))
+            result = solve_game(og, variant)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak / result.arena.total < 15
+        assert peak < solve_bytes(og, variant)
+        return peak / result.arena.total
+
+    def test_bytes_per_state(self):
+        """A C11(1,2) strong-push one-cop solve peaks below 4.5 B/state (3.3 measured)."""
+        assert self.traced_bytes_per_state(circulant(11, (1, 2)), "strong", 1) < 4.5
+
+    def test_bytes_per_state_three_cops(self):
+        """K7 with 3 strong-push cops peaks below 30 B/state (23.6 measured)."""
+        assert self.traced_bytes_per_state(complete(7), "strong", 3) < 30
+
+    def test_over_budget_is_refused_before_building(self):
+        og = OrientedGraph(hypercube(4), 0)
+        assert solve_bytes(og, GameVariant(PushAbility.STRONG, 2)) < MEMORY_BUDGET
+        with pytest.raises(TooLargeError):
+            Arena(og, GameVariant(PushAbility.STRONG, 3))
 
 
 class TestOptimalPolicies:
