@@ -47,7 +47,7 @@ from .solver import (
     OptimalCop,
     OptimalRobber,
     SolveResult,
-    cop_number,
+    cop_numbers,
     solve_game,
 )
 from .strategies import (
@@ -87,7 +87,7 @@ __all__ = [
     "TrapCaptureStrategy",
     "Turn",
     "UnderlyingGraph",
-    "cop_number",
+    "cop_numbers",
     "dag_push_target",
     "extend_reachability",
     "find_dag_push_set",

@@ -74,7 +74,10 @@ class FourRegularStrategy(Strategy):
     def _audit(self, og: OrientedGraph, agent):
         after = self.cur_game.pushed(og.parity, agent.vertex) if isinstance(agent, Push) else og
         ok = all(after.out_degree(w) <= 1 for w in self.visited)
-        self.audit_log.append({"mode": self.mode, "invariant": ok})
+        gen = self.script  # the innermost running script, or None for a dispatch push
+        while getattr(gen, "gi_yieldfrom", None) is not None:
+            gen = gen.gi_yieldfrom
+        self.audit_log.append({"mode": self.mode, "invariant": ok, "script": gen and gen.__name__})
         if self.mode == "invariant":
             if not ok:
                 raise InternalInvariantViolation(
@@ -88,6 +91,7 @@ class FourRegularStrategy(Strategy):
     def _start_script(self, gen):
         self.script = gen
         self._note_endgame()
+        return self._advance_script()
 
     def _advance_script(self):
         try:
@@ -117,13 +121,11 @@ class FourRegularStrategy(Strategy):
         if og.graph.has_edge(x, y):
             if og.has_arc(y, x):
                 x, y = y, x  # relabel so the arc runs x -> y
-            self._start_script(self._claim_edge(u, x, y))
-            return self._advance_script()
+            return self._start_script(self._claim_edge(u, x, y))
         if og.out_degree(x) != 2 or og.out_degree(y) != 2:
             if og.out_degree(x) == 2:
                 x, y = y, x  # x takes the off-degree role
-            self._start_script(self._claim_neighbor_visited(u, x, y))
-            return self._advance_script()
+            return self._start_script(self._claim_neighbor_visited(u, x, y))
         visx = [w for w in og.out_neighbors(x) if w in self.visited]
         visy = [w for w in og.out_neighbors(y) if w in self.visited]
         if not visx:
@@ -142,10 +144,8 @@ class FourRegularStrategy(Strategy):
         if og.graph.has_edge(x1, x2) or og.graph.has_edge(y1, y2):
             if not og.graph.has_edge(x1, x2):
                 x, y, x1, x2, y1, y2 = y, x, y1, y2, x1, x2
-            self._start_script(self._nonedge_case1(u, x, y, x1, x2, y1, y2))
-        else:
-            self._start_script(self._nonedge_case2(u, x, y, x1, x2, y1, y2))
-        return self._advance_script()
+            return self._start_script(self._nonedge_case1(u, x, y, x1, x2, y1, y2))
+        return self._start_script(self._nonedge_case2(u, x, y, x1, x2, y1, y2))
 
     # scripted endgames.  Each generator reads the live view between yields
     # and raises on anything outside its case analysis.

@@ -459,13 +459,18 @@ def audit_levels(result: SolveResult) -> None:
             raise AssertionError(f"fixpoint violated at {state}: {got} != {expect}")
 
 
-def cop_number(og: OrientedGraph, push: PushAbility, k_max: int) -> int | None:
-    """Smallest k for which k cops win, or None if every k <= k_max loses."""
+def cop_numbers(og: OrientedGraph, push: PushAbility, k_max: int) -> dict[int, int | None]:
+    """Smallest winning k <= k_max, or None, per parity of the arena of `og`:
+    every member of its push class, or only `og.parity` without pushes (no
+    parity if k_max < 1).  One class solve per k, until every parity is decided."""
+    numbers: dict[int, int | None] = {}
     for k in range(1, k_max + 1):
-        result = solve_game(og, GameVariant(push, k))
-        if result.root_win:
-            return k
-    return None
+        for p, win in solve_game(og, GameVariant(push, k)).member_wins().items():
+            if numbers.get(p) is None:
+                numbers[p] = k if win else None
+        if None not in numbers.values():
+            break
+    return numbers
 
 
 class _OptimalBase:

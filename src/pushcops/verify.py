@@ -8,6 +8,7 @@ instance when anything goes wrong.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .engine import Game, GameVariant, PushAbility, Turn, play_match
@@ -30,7 +31,7 @@ from .graph import (
     validate_graph,
 )
 from .pushdag import find_dag_push_set, reachability_partition
-from .solver import OptimalRobber, cop_number, solve_game
+from .solver import OptimalRobber, cop_numbers, solve_game
 from .strategies import StayRobber, StrongPushDagStrategy, TrapCaptureStrategy
 
 
@@ -71,8 +72,7 @@ def suite_theorem_dag(max_n: int = 5) -> SuiteResult:
     res = SuiteResult("theorem-dag")
     for g in _connected_graphs(max_n):
         for rep in enumerate_orientations(g, per_class=True):
-            pushable = find_dag_push_set(rep) is not None
-            if not pushable:
+            if find_dag_push_set(rep) is None:
                 continue
             result = solve_game(rep, STRONG_1)
             for p, win in result.member_wins().items():
@@ -172,6 +172,13 @@ def suite_strategy_4regular(max_n: int = 5) -> SuiteResult:
     res = SuiteResult("strategy-4regular")
     for name, g in four_regular_families():
         checked = worst = 0
+        fired: Counter = Counter()  # orientations on which each script ran on some line
+        cops: list[FourRegularStrategy] = []
+
+        def make_cop(og: OrientedGraph) -> FourRegularStrategy:
+            cops.append(FourRegularStrategy(og))
+            return cops[-1]
+
         for og, win in _one_cop_verdicts([g]):
             if not win:
                 res.fail(f"{name}: solver says one strong-push cop loses", og)
@@ -179,16 +186,18 @@ def suite_strategy_4regular(max_n: int = 5) -> SuiteResult:
             if g.n > max_n and og.parity:
                 continue
             checked += 1
+            cops.clear()
             try:
                 # every line of these families ends within 8 rounds, so 4n
                 # leaves room without letting a looping line run for long
-                worst = max(worst, worst_robber_line(og, FourRegularStrategy, 4 * g.n))
+                worst = max(worst, worst_robber_line(og, make_cop, 4 * g.n))
             except (InternalInvariantViolation, IllegalActionError) as exc:
                 res.fail(f"{name}: {type(exc).__name__}: {exc}", og)
+            fired.update({e["script"] or "dispatch" for cop in cops for e in cop.audit_log})
         res.checked += checked
         res.findings.append(
             f"{name}: every robber line from {checked} orientations captured"
-            f" within {worst} rounds"
+            f" within {worst} rounds; orientations per script {dict(sorted(fired.items()))}"
         )
     return res
 
@@ -239,8 +248,7 @@ def random_trapped_instance(rng: random.Random, n: int):
     edges = set()
     for v in range(1, n):
         edges.add((rng.randrange(v), v))
-    extras = rng.randrange(0, n)
-    for _ in range(extras):
+    for _ in range(rng.randrange(0, n)):
         u, v = rng.sample(range(n), 2)
         edges.add((min(u, v), max(u, v)))
     arcs = []
@@ -285,43 +293,31 @@ MONOTONIC_K_MAX = 3
 
 def suite_monotonic(max_n: int = 5) -> SuiteResult:
     """More push power never hurts: strong <= weak <= no-push cop numbers,
-    each searched up to MONOTONIC_K_MAX cops."""
+    each searched up to MONOTONIC_K_MAX cops.  c_wp and c_sp come from one
+    `cop_numbers` search per push class; each member's pushless c only up to
+    c_wp - 1 (MONOTONIC_K_MAX when c_wp is None), the only c for which "c_wp
+    exceeds c" can fail, so failures and messages match a full search."""
     res = SuiteResult("monotonic")
+    c_wp_seen: Counter = Counter()
+    searched = 0
     for g in _connected_graphs(max_n):
         for rep in enumerate_orientations(g, per_class=True):
-            # per cop count, the class solve's verdict for every member
-            weak: dict[int, dict[int, bool]] = {}
-            strong: dict[int, dict[int, bool]] = {}
-
-            def class_win(cache, push, k, parity):
-                if k not in cache:
-                    cache[k] = solve_game(rep, GameVariant(push, k)).member_wins()
-                return cache[k][parity]
-
-            for p in range(1 << max(g.n - 1, 0)):
+            weak = cop_numbers(rep, PushAbility.WEAK, MONOTONIC_K_MAX)
+            strong = cop_numbers(rep, PushAbility.STRONG, MONOTONIC_K_MAX)
+            for p, c_wp in weak.items():
                 member = rep.with_parity(p)
                 res.checked += 1
-                c = cop_number(member, PushAbility.NONE, MONOTONIC_K_MAX)
-                c_wp = next(
-                    (
-                        k
-                        for k in range(1, MONOTONIC_K_MAX + 1)
-                        if class_win(weak, PushAbility.WEAK, k, p)
-                    ),
-                    None,
-                )
-                c_sp = next(
-                    (
-                        k
-                        for k in range(1, MONOTONIC_K_MAX + 1)
-                        if class_win(strong, PushAbility.STRONG, k, p)
-                    ),
-                    None,
-                )
-                if c is not None and (c_wp is None or c_wp > c):
+                c_wp_seen[c_wp] += 1
+                limit = MONOTONIC_K_MAX if c_wp is None else c_wp - 1
+                searched += limit > 0
+                c = cop_numbers(member, PushAbility.NONE, limit).get(p)
+                if c is not None:  # searched only below c_wp
                     res.fail(f"c_wp={c_wp} exceeds c={c}", member)
+                c_sp = strong[p]
                 if c_wp is not None and (c_sp is None or c_sp > c_wp):
                     res.fail(f"c_sp={c_sp} exceeds c_wp={c_wp}", member)
+    res.findings.append(f"c_wp histogram {dict(sorted(c_wp_seen.items(), key=repr))};"
+                        f" pushless searches on {searched} of {res.checked} members")
     return res
 
 
@@ -334,10 +330,9 @@ def check_directed_cycles() -> SuiteResult:
     for n in range(3, 9):
         og = validate_graph(n, [(i, (i + 1) % n) for i in range(n)])
         res.checked += 1
-        if solve_game(og, GameVariant(PushAbility.NONE, 1)).root_win:
-            res.fail(f"n={n}: one pushless cop should lose on a directed cycle", og)
-        if not solve_game(og, GameVariant(PushAbility.NONE, 2)).root_win:
-            res.fail(f"n={n}: two pushless cops should win on a directed cycle", og)
+        c = cop_numbers(og, PushAbility.NONE, 2)[og.parity]
+        if c != 2:
+            res.fail(f"n={n}: classical cop number {c} on a directed cycle, expected 2", og)
         if not solve_game(og, GameVariant(PushAbility.STRONG, 1)).root_win:
             res.fail(f"n={n}: one strong-push cop should win on a directed cycle", og)
         if find_dag_push_set(og) is None:

@@ -82,7 +82,14 @@ def test_trapped_robber_capture_bound():
 
 
 def test_push_power_monotonicity():
-    report("c_sp <= c_wp <= c (n<=5, k<=3)", suite_monotonic(max_n=5))
+    res = suite_monotonic(max_n=5)
+    report("c_sp <= c_wp <= c (n<=5, k<=3)", res)
+    assert res.checked == 55_895
+
+
+@pytest.mark.slow
+def test_push_power_monotonicity_full():
+    report("c_sp <= c_wp <= c (n<=6 full, k<=3)", suite_monotonic(max_n=6))
 
 
 def test_directed_cycles_classical_vs_push():

@@ -2,6 +2,7 @@ import hashlib
 import math
 import random
 import tracemalloc
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
@@ -17,7 +18,7 @@ from pushcops.solver import (
     OptimalCop,
     OptimalRobber,
     audit_levels,
-    cop_number,
+    cop_numbers,
     solve_bytes,
     solve_game,
 )
@@ -111,13 +112,35 @@ class TestSolve:
             "0fcd21240c6c952941f595c2a83c2f1d5de609920b8fd6d05a950ba0fcde41f6"
         )
 
-    def test_cop_number_directed_cycle(self):
+    def test_cop_numbers_directed_cycle(self):
         og = directed_cycle(5)
-        assert cop_number(og, PushAbility.NONE, 3) == 2
-        assert cop_number(og, PushAbility.STRONG, 3) == 1
+        assert cop_numbers(og, PushAbility.NONE, 3) == {0: 2}
+        # pushing vertex 3 reverses the cycle's arcs at 3: pushless c drops to 1
+        assert cop_numbers(og.push(3), PushAbility.NONE, 3) == {og.push(3).parity: 1}
+        assert cop_numbers(og, PushAbility.STRONG, 3) == dict.fromkeys(range(16), 1)
 
-    def test_cop_number_none_when_exceeded(self):
-        assert cop_number(triangle(), PushAbility.NONE, 1) is None
+    def test_cop_numbers_none_when_exceeded(self):
+        assert cop_numbers(triangle(), PushAbility.NONE, 1) == {0: None}
+
+    def test_cop_numbers_are_pinned(self):
+        """Per-member cop numbers (k <= 3) of 60 seeded orientations under every
+        push ability, frozen from one `solve_game` root verdict per member and k."""
+        digest = hashlib.sha256()
+        seen: Counter = Counter()
+        for i in range(60):
+            n = 2 + i % 5
+            og = random_oriented(random.Random(f"cop-numbers-{i}"), n)
+            for push in PushAbility:
+                got = cop_numbers(og, push, 3)
+                parities = [og.parity] if push is PushAbility.NONE else range(1 << (n - 1))
+                assert sorted(got) == sorted(parities)
+                digest.update(repr(sorted(got.items())).encode())
+                seen.update((push.value, c) for c in got.values())
+        assert seen == {("none", 1): 33, ("none", 2): 23, ("none", 3): 3, ("none", None): 1,
+                        ("weak", 1): 744, ("strong", 1): 744}
+        assert digest.hexdigest() == (
+            "17b3d7351669af5dd84a52fe46edb77dd1334cca1e577ea033a6986b72dccd2f"
+        )
 
 
 class TestKernelEdgeCases:

@@ -1,4 +1,7 @@
+import pytest
+
 from pushcops import verify
+from pushcops.engine import PushAbility
 from pushcops.errors import InternalInvariantViolation
 from pushcops.four_regular import FourRegularStrategy
 from pushcops.generators import complete
@@ -23,6 +26,42 @@ class TestOneCopSuites:
         assert sweep.findings[0] == "found 1 orientation(s) with strong-push cop number > 1"
 
 
+class TestMonotonic:
+    @staticmethod
+    def lose_at_parity_1(monkeypatch, push, max_cops):
+        """`member_wins` reports a loss at parity 1 for `push` with at most `max_cops` cops."""
+        real = SolveResult.member_wins
+
+        def patched(self):
+            wins = real(self)
+            variant = self.arena.variant
+            if variant.push is push and variant.cops <= max_cops and 1 in wins:
+                wins[1] = False
+            return wins
+
+        monkeypatch.setattr(SolveResult, "member_wins", patched)
+
+    @pytest.mark.parametrize("max_cops,c_wp", [(verify.MONOTONIC_K_MAX, None), (1, 2)])
+    def test_weak_loss_is_reported_against_c(self, monkeypatch, max_cops, c_wp):
+        self.lose_at_parity_1(monkeypatch, PushAbility.WEAK, max_cops)
+        res = verify.suite_monotonic(max_n=2)
+        assert res.failures == [f"c_wp={c_wp} exceeds c=1"]
+        assert res.repro.parity == 1
+        assert res.findings == [
+            f"c_wp histogram {{1: 2, {c_wp}: 1}}; pushless searches on 1 of 3 members"
+        ]
+
+    def test_strong_loss_is_reported_against_c_wp(self, monkeypatch):
+        self.lose_at_parity_1(monkeypatch, PushAbility.STRONG, 1)
+        res = verify.suite_monotonic(max_n=2)
+        assert res.failures == ["c_sp=2 exceeds c_wp=1"]
+        assert res.repro.parity == 1
+
+    def test_counts_every_member(self):
+        res = verify.suite_monotonic(max_n=3)
+        assert res.passed and res.checked == 23
+
+
 class TestStrategy4Regular:
     def test_strategy_error_becomes_failure(self, monkeypatch):
         def broken(self, og, u):
@@ -34,3 +73,12 @@ class TestStrategy4Regular:
         assert not res.passed
         assert res.repro.graph == complete(5)
         assert "no case applies" in res.failures[0]
+
+    def test_script_histogram_finding(self, monkeypatch):
+        monkeypatch.setattr(verify, "four_regular_families", lambda: [("K5", complete(5))])
+        res = verify.suite_strategy_4regular()
+        assert res.passed
+        assert res.findings == [
+            "K5: every robber line from 1024 orientations captured within 6 rounds;"
+            " orientations per script {'_claim_edge': 960, 'dispatch': 1024}"
+        ]
