@@ -52,7 +52,6 @@ from .solver import (
 )
 from .strategies import (
     DagChaseStrategy,
-    OracleCopStrategy,
     RandomRobber,
     StayRobber,
     Strategy,
@@ -70,7 +69,6 @@ __all__ = [
     "MoveTo",
     "OptimalCop",
     "OptimalRobber",
-    "OracleCopStrategy",
     "OrientedGraph",
     "PlaceCops",
     "PlaceRobber",

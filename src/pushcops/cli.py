@@ -12,14 +12,13 @@ import resource
 import sys
 
 from .engine import GameVariant, PushAbility, play_match
-from .errors import InternalInvariantViolation, PushcopsError
+from .errors import InternalInvariantViolation, NotCopWinError, PushcopsError
 from .four_regular import FourRegularStrategy
 from .graph import parse_arcs, serialize_arcs
 from .pushdag import dag_push_target, find_dag_push_set, normalize_single_source
-from .solver import OptimalRobber, solve_game
+from .solver import OptimalCop, OptimalRobber, solve_game
 from .strategies import (
     ManualStrategy,
-    OracleCopStrategy,
     RandomRobber,
     StayRobber,
     StrongPushDagStrategy,
@@ -75,16 +74,22 @@ def cmd_solve(args) -> int:
 def cmd_play(args) -> int:
     og = _load_graph(args.input)
     variant = GameVariant(PushAbility(args.push), args.cops)
+    # one solve serves both solver-backed sides
+    solved = None
+    if args.cop == "oracle" or args.robber == "optimal":
+        solved = solve_game(og, variant)
     if args.cop == "four-regular":
         cop = FourRegularStrategy(og)
     elif args.cop == "dag":
         cop = StrongPushDagStrategy(og)
     elif args.cop == "oracle":
-        cop = OracleCopStrategy(og, variant)
+        if not solved.root_win:
+            raise NotCopWinError("solver verdict is robber-win at this cop count")
+        cop = OptimalCop(solved)
     else:
         cop = ManualStrategy("cops")
     if args.robber == "optimal":
-        robber = OptimalRobber(solve_game(og, variant))
+        robber = OptimalRobber(solved)
     elif args.robber == "random":
         robber = RandomRobber(args.seed)
     elif args.robber == "stay":

@@ -5,7 +5,8 @@ from __future__ import annotations
 import enum
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from typing import Sequence
 
 from .errors import BadVariantError, IllegalActionError, IllegalStrategyActionError, WrongTurnError
 from .graph import OrientedGraph, parse_arcs, push_parity, serialize_arcs
@@ -78,37 +79,38 @@ AgentAction = Stay | MoveTo | Push
 CopRound = tuple
 
 
+# trace JSON "type" of each action class; the other keys are its fields
+_ACTION_KINDS = {
+    "stay": Stay,
+    "move": MoveTo,
+    "push": Push,
+    "place-cops": PlaceCops,
+    "place-robber": PlaceRobber,
+}
+_KIND_OF = {cls: kind for kind, cls in _ACTION_KINDS.items()}
+
+
 def action_to_json(action) -> dict | list:
     if isinstance(action, tuple):
         return [action_to_json(a) for a in action]
-    if isinstance(action, Stay):
-        return {"type": "stay"}
-    if isinstance(action, MoveTo):
-        return {"type": "move", "vertex": action.vertex}
-    if isinstance(action, Push):
-        return {"type": "push", "vertex": action.vertex}
-    if isinstance(action, PlaceCops):
-        return {"type": "place-cops", "vertices": list(action.vertices)}
-    if isinstance(action, PlaceRobber):
-        return {"type": "place-robber", "vertex": action.vertex}
-    raise TypeError(f"not an action: {action!r}")
+    kind = _KIND_OF.get(type(action))
+    if kind is None:
+        raise TypeError(f"not an action: {action!r}")
+    data = {"type": kind}
+    for f in fields(action):
+        value = getattr(action, f.name)
+        data[f.name] = list(value) if isinstance(value, tuple) else value
+    return data
 
 
 def action_from_json(data) -> object:
     if isinstance(data, list):
         return tuple(action_from_json(a) for a in data)
-    kind = data["type"]
-    if kind == "stay":
-        return Stay()
-    if kind == "move":
-        return MoveTo(data["vertex"])
-    if kind == "push":
-        return Push(data["vertex"])
-    if kind == "place-cops":
-        return PlaceCops(tuple(data["vertices"]))
-    if kind == "place-robber":
-        return PlaceRobber(data["vertex"])
-    raise ValueError(f"unknown action type {kind!r}")
+    cls = _ACTION_KINDS.get(data["type"])
+    if cls is None:
+        raise ValueError(f"unknown action type {data['type']!r}")
+    values = [data[f.name] for f in fields(cls)]
+    return cls(*(tuple(v) if isinstance(v, list) else v for v in values))
 
 
 class Game:
@@ -142,13 +144,18 @@ class Game:
     def out_neighbors(self, parity: int, v: int) -> tuple[int, ...]:
         return self._oriented(parity).out_neighbors(v)
 
+    def _pushable(self, pos: int) -> Sequence[int]:
+        """The vertices a cop on `pos` may push: none, its own, or all n."""
+        if self.variant.push is PushAbility.STRONG:
+            return range(self.graph.n)
+        if self.variant.push is PushAbility.WEAK:
+            return (pos,)
+        return ()
+
     def _agent_options(self, parity: int, pos: int) -> list[AgentAction]:
         opts: list[AgentAction] = [Stay()]
         opts.extend(MoveTo(w) for w in self.out_neighbors(parity, pos))
-        if self.variant.push is PushAbility.WEAK:
-            opts.append(Push(pos))
-        elif self.variant.push is PushAbility.STRONG:
-            opts.extend(Push(w) for w in range(self.graph.n))
+        opts.extend(Push(w) for w in self._pushable(pos))
         return opts
 
     def legal_actions(self, state: GameState) -> list:
@@ -216,14 +223,11 @@ class Game:
                         )
                     positions[i] = act.vertex
                 elif isinstance(act, Push):
-                    if self.variant.push is PushAbility.NONE:
-                        raise IllegalActionError("cops have no push ability in this variant")
-                    if self.variant.push is PushAbility.WEAK and act.vertex != positions[i]:
+                    if act.vertex not in self._pushable(positions[i]):
                         raise IllegalActionError(
-                            f"weak push: cop {i} may only push its own vertex {positions[i]}"
+                            f"cop {i} on {positions[i]} cannot push {act.vertex} "
+                            f"with {self.variant.push.value} push"
                         )
-                    if not 0 <= act.vertex < n:
-                        raise IllegalActionError(f"pushed vertex {act.vertex} out of range")
                     parity = push_parity(parity, act.vertex, n)
                 else:
                     raise IllegalActionError(f"not a cop agent action: {act!r}")
@@ -256,9 +260,8 @@ class RoundRecord:
 
 @dataclass
 class Trace:
-    graph_text: str
+    og: OrientedGraph  # the orientation the match started from
     variant: GameVariant
-    initial_parity: int
     rounds: list[RoundRecord] = field(default_factory=list)
     outcome: dict | None = None
 
@@ -266,9 +269,9 @@ class Trace:
         return json.dumps(
             {
                 "schema": 1,
-                "graph": self.graph_text,
+                "graph": serialize_arcs(self.og.with_parity(0)),
                 "variant": {"push": self.variant.push.value, "cops": self.variant.cops},
-                "initial_parity": self.initial_parity,
+                "initial_parity": self.og.parity,
                 "rounds": [
                     {
                         "actor": r.actor,
@@ -288,7 +291,13 @@ class Trace:
     def from_json(text: str) -> "Trace":
         data = json.loads(text)
         variant = GameVariant(PushAbility(data["variant"]["push"]), data["variant"]["cops"])
-        trace = Trace(data["graph"], variant, data["initial_parity"])
+        og = parse_arcs(data["graph"])
+        parity = data["initial_parity"]
+        if not 0 <= parity < 1 << max(og.n - 1, 0):
+            raise ValueError(
+                f"initial_parity {parity} is not a push parity of {og.n} vertices"
+            )
+        trace = Trace(og.with_parity(parity), variant)
         for r in data["rounds"]:
             trace.rounds.append(
                 RoundRecord(
@@ -304,8 +313,7 @@ class Trace:
 
     def replay(self) -> GameState:
         """Re-run every recorded action, checking each recorded state matches."""
-        og = parse_arcs(self.graph_text).with_parity(self.initial_parity)
-        game = Game(og, self.variant)
+        game = Game(self.og, self.variant)
         state = game.initial_state()
         for rec in self.rounds:
             state = game.apply(state, rec.action)
@@ -330,7 +338,7 @@ def play_match(
         max_rounds = default_round_limit(og.n, variant.cops)
     game = Game(og, variant)
     state = game.initial_state()
-    trace = Trace(serialize_arcs(og.with_parity(0)), variant, og.parity)
+    trace = Trace(og, variant)
     round_no = 0
     while True:
         if state.turn in (Turn.COP_PLACEMENT, Turn.COP):

@@ -10,6 +10,7 @@ pinned to zero).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Collection, Iterator, Sequence
 
 from .errors import (
@@ -82,13 +83,9 @@ class UnderlyingGraph:
     def edge_index(self, u: int, v: int) -> int:
         return self._eindex[(min(u, v), max(u, v))]
 
-    @property
+    @cached_property
     def _eindex(self) -> dict[tuple[int, int], int]:
-        idx = self.__dict__.get("_eindex_cache")
-        if idx is None:
-            idx = {e: i for i, e in enumerate(self.edges)}
-            self.__dict__["_eindex_cache"] = idx
-        return idx
+        return {e: i for i, e in enumerate(self.edges)}
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
@@ -184,25 +181,21 @@ class OrientedGraph:
         for e in range(self.m):
             yield self.arc(e)
 
-    @property
+    @cached_property
     def _tables(self) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
         """(out, in) neighbour tuples per vertex, built on first use.
 
         Edges are sorted (u < v) pairs, so appending in edge order leaves every
         list ascending, the `adj` order that strategy tie-breaks rely on.
         """
-        tables = self.__dict__.get("_tables_cache")
-        if tables is None:
-            outs: list[list[int]] = [[] for _ in range(self.n)]
-            ins: list[list[int]] = [[] for _ in range(self.n)]
-            for e, (u, v) in enumerate(self.graph.edges):
-                if self.edge_flipped(e):
-                    u, v = v, u
-                outs[u].append(v)
-                ins[v].append(u)
-            tables = (tuple(map(tuple, outs)), tuple(map(tuple, ins)))
-            self.__dict__["_tables_cache"] = tables
-        return tables
+        outs: list[list[int]] = [[] for _ in range(self.n)]
+        ins: list[list[int]] = [[] for _ in range(self.n)]
+        for e, (u, v) in enumerate(self.graph.edges):
+            if self.edge_flipped(e):
+                u, v = v, u
+            outs[u].append(v)
+            ins[v].append(u)
+        return (tuple(map(tuple, outs)), tuple(map(tuple, ins)))
 
     def has_arc(self, u: int, v: int) -> bool:
         return self.graph.has_edge(u, v) and v in self._tables[0][u]
@@ -342,11 +335,7 @@ def parse_arcs(text: str) -> OrientedGraph:
 
 
 def serialize_arcs(og: OrientedGraph) -> str:
-    ref, p = og.ref_bits, og.parity << 1  # bit w of p is parity_bit(og.parity, w)
     lines = [f"{og.n} {og.m}"]
-    for e, (u, v) in enumerate(og.graph.edges):
-        if ((ref >> e) ^ (p >> u) ^ (p >> v)) & 1:  # edge_flipped(e), inline
-            u, v = v, u
-        lines.append(f"{u} {v}")
+    lines.extend(f"{u} {v}" for u, v in og.arcs())
     return "\n".join(lines) + "\n"
 

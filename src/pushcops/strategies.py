@@ -10,14 +10,12 @@ import random
 
 from .errors import (
     InternalInvariantViolation,
-    NotCopWinError,
     NotSingleSourceDagError,
     RobberNotTrappedError,
 )
-from .engine import Game, GameState, GameVariant, MoveTo, PlaceCops, PlaceRobber, Push, Stay, Turn
+from .engine import Game, GameState, MoveTo, PlaceCops, PlaceRobber, Push, Stay, Turn
 from .graph import OrientedGraph, UnderlyingGraph, is_dag, is_trapped, reachable_from
 from .pushdag import dag_push_target, normalize_single_source, push_delta, single_source
-from .solver import OptimalCop, solve_game
 
 
 class Strategy:
@@ -131,20 +129,6 @@ def _class_dag_target(graph: UnderlyingGraph, ref_bits: int) -> tuple[OrientedGr
     dag = dag_push_target(OrientedGraph(graph, ref_bits, 0))  # raises NotPushableToDagError
     target = normalize_single_source(dag)[0]
     return target, single_source(target)
-
-
-class OracleCopStrategy(Strategy):
-    """Solver-backed play for any cop-win instance."""
-
-    def __init__(self, og: OrientedGraph, variant: GameVariant):
-        result = solve_game(og, variant)
-        if not result.root_win:
-            raise NotCopWinError("solver verdict is robber-win at this cop count")
-        self.result = result
-        self._policy = OptimalCop(result)
-
-    def __call__(self, game: Game, state: GameState):
-        return self._policy(game, state)
 
 
 # robber policies

@@ -30,7 +30,7 @@ from .graph import (
     serialize_arcs,
     validate_graph,
 )
-from .pushdag import find_dag_push_set, reachability_partition
+from .pushdag import extend_reachability, find_dag_push_set, reachability_partition
 from .solver import OptimalRobber, cop_numbers, solve_game
 from .strategies import StayRobber, StrongPushDagStrategy, TrapCaptureStrategy
 
@@ -223,7 +223,7 @@ def suite_pushdag_props(max_n: int = 5) -> SuiteResult:
                 if rounds > g.n - 1:
                     res.fail("normalization exceeded n-1 growth rounds", og)
                     break
-                nxt = current.push_many(sorted(part.unreachable))
+                nxt = current.push_many(extend_reachability(current, u))
                 ok, _ = is_dag(nxt)
                 if not ok:
                     res.fail("growth round broke acyclicity", og)

@@ -1,9 +1,10 @@
 import io
 import json
+import sys
 
 import pytest
 
-from pushcops import verify
+from pushcops import solver, verify
 from pushcops.cli import main
 from pushcops.engine import GameVariant, PushAbility, Trace, play_match
 from pushcops.errors import BadFamilyParamsError
@@ -98,6 +99,31 @@ class TestPlay:
         assert main(
             ["play", "--input", triangle_file(tmp_path), "--robber", "random", "--seed", "3"]
         ) == 0
+
+    def test_oracle_against_optimal_robber_solves_once(self, tmp_path, monkeypatch):
+        real = solver.solve_game
+        calls = []
+
+        def counting(og, variant):
+            calls.append(variant)
+            return real(og, variant)
+
+        # every pushcops module that holds solve_game, pushcops.cli among them
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("pushcops") and getattr(mod, "solve_game", None) is real:
+                monkeypatch.setattr(mod, "solve_game", counting)
+        assert main(
+            ["play", "--input", triangle_file(tmp_path), "--cop", "oracle", "--robber", "optimal"]
+        ) == 0
+        assert calls == [GameVariant(PushAbility.STRONG, 1)]
+
+    def test_oracle_rejects_robber_win(self, tmp_path, capsys):
+        assert main(
+            ["play", "--input", triangle_file(tmp_path), "--push", "none", "--cop", "oracle"]
+        ) == 1
+        assert capsys.readouterr().err == (
+            "error: solver verdict is robber-win at this cop count\n"
+        )
 
 
 class TestManualStrategy:

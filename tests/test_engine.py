@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 
@@ -24,6 +25,7 @@ from pushcops.engine import (
 )
 from pushcops.errors import BadVariantError, IllegalActionError, IllegalStrategyActionError
 from pushcops.graph import OrientedGraph, same_orientation, validate_graph
+from pushcops.solver import OptimalCop, OptimalRobber, solve_game
 from pushcops.strategies import RandomRobber, Strategy
 
 from conftest import random_oriented
@@ -91,6 +93,20 @@ class TestApply:
         state = advance_to_play(game)
         with pytest.raises(IllegalActionError):
             game.apply(state, (Push(0),))
+
+    @pytest.mark.parametrize("push", list(PushAbility))
+    def test_apply_accepts_exactly_the_generated_pushes(self, push):
+        game = Game(triangle(), GameVariant(push, 1))
+        state = advance_to_play(game, cops=(1,), robber=2)
+        legal = game.legal_actions(state)
+        for v in range(-1, 4):
+            if (Push(v),) in legal:
+                game.apply(state, (Push(v),))
+            else:
+                with pytest.raises(IllegalActionError, match=f"cannot push {v} with"):
+                    game.apply(state, (Push(v),))
+        pushes = [a[0].vertex for a in legal if isinstance(a[0], Push)]
+        assert pushes == {"none": [], "weak": [1], "strong": [0, 1, 2]}[push.value]
 
     def test_unsorted_cop_placement_rejected(self):
         game = Game(triangle(), GameVariant(PushAbility.NONE, 2))
@@ -171,6 +187,52 @@ class TestRoundLimitAndTrace:
         final = restored.replay()  # raises on any divergence
         assert restored.outcome == trace.outcome
         assert final.captured == (trace.outcome["type"] == "captured")
+
+    def test_trace_json_is_pinned(self):
+        """sha256 over to_json() of 30 seeded matches: none, weak and strong
+        push, one and two cops, random and solver-optimal players, both
+        endings.  Random players pick by index into legal_actions, so the
+        digest also pins the order of the legal actions."""
+        digest = hashlib.sha256()
+        seen: set = set()
+        for i in range(30):
+            push = list(PushAbility)[i % 3]
+            k = 1 + (i // 3) % 2
+            rng = random.Random(f"trace-pin-{i}")
+            og = random_oriented(rng, rng.randint(2, 5))
+            variant = GameVariant(push, k)
+            if i % 5 == 4:
+                result = solve_game(og, variant)
+                cop, robber = OptimalCop(result), OptimalRobber(result)
+            else:
+                cop, robber = RandomCop(i), RandomRobber(i + 100)
+            trace = play_match(og, cop, robber, variant, max_rounds=2 + i % 7)
+            text = trace.to_json()
+            assert Trace.from_json(text).to_json() == text
+            digest.update(text.encode())
+            seen.add(trace.outcome["type"])
+            placed = trace.rounds[0].cops
+            if len(set(placed)) == 2:
+                seen.add("two-cop placement")
+            if any(isinstance(a, Push) for r in trace.rounds[2:] if r.actor == "cops"
+                   for a in r.action):
+                seen.add(f"{push.value} push")
+        assert seen == {"captured", "round-limit", "two-cop placement", "weak push",
+                        "strong push"}
+        assert digest.hexdigest() == (
+            "1b4d4ec03fbebb9b33e79e7f91a416bd957f7094d5113adcb9d9ff4b099f146d"
+        )
+
+    def test_initial_parity_out_of_range_rejected(self):
+        trace = play_match(triangle(), RandomCop(0), RandomRobber(1),
+                           GameVariant(PushAbility.STRONG, 1), max_rounds=2)
+        data = json.loads(trace.to_json())
+        # a triangle has 2^(3-1) = 4 parities; 7 names parity 3's arcs but
+        # is not a parity vector
+        for parity in (-1, 4, 7):
+            data["initial_parity"] = parity
+            with pytest.raises(ValueError, match="initial_parity"):
+                Trace.from_json(json.dumps(data))
 
     def test_cop_count_below_one_rejected(self):
         with pytest.raises(BadVariantError):

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pushcops.engine import Game, GameState, GameVariant, PushAbility, Turn, play_match
-from pushcops.errors import NotCopWinError, QueriedOnWrongArenaError, TooLargeError
+from pushcops.errors import QueriedOnWrongArenaError, TooLargeError
 from pushcops.generators import circulant, complete, hypercube
 from pushcops.graph import OrientedGraph, validate_graph
 from pushcops.solver import (
@@ -22,7 +22,6 @@ from pushcops.solver import (
     solve_bytes,
     solve_game,
 )
-from pushcops.strategies import OracleCopStrategy
 
 from conftest import random_oriented
 
@@ -261,10 +260,6 @@ class TestOptimalPolicies:
             GameVariant(PushAbility.NONE, 1), max_rounds=30,
         )
         assert trace.outcome["type"] == "round-limit"
-
-    def test_oracle_rejects_robber_win(self):
-        with pytest.raises(NotCopWinError):
-            OracleCopStrategy(triangle(), GameVariant(PushAbility.NONE, 1))
 
     def test_policy_rejects_foreign_game(self):
         result = solve_game(triangle(), GameVariant(PushAbility.STRONG, 1))

@@ -26,6 +26,13 @@ class TestOneCopSuites:
         assert sweep.findings[0] == "found 1 orientation(s) with strong-push cop number > 1"
 
 
+class TestPushdagProps:
+    def test_checks_the_library_growth_round(self, monkeypatch):
+        real = verify.extend_reachability
+        monkeypatch.setattr(verify, "extend_reachability", lambda og, u: real(og, u)[:-1])
+        assert not verify.suite_pushdag_props(max_n=3).passed
+
+
 class TestMonotonic:
     @staticmethod
     def lose_at_parity_1(monkeypatch, push, max_cops):
