@@ -42,9 +42,14 @@ def extend_reachability(og: OrientedGraph, u: int) -> list[int]:
         raise NotADagError("extend_reachability requires a DAG")
     if og.in_degree(u) != 0:
         raise NotASourceError(u)
-    part = reachability_partition(og, u)
+    return _growth_pushes(reachability_partition(og, u))
+
+
+def _growth_pushes(part: ReachabilityPartition) -> list[int]:
+    """The push set of `extend_reachability`, read from a DAG's partition
+    around its source `part.source`; the caller has checked both."""
     if not part.unreachable:
-        raise AlreadyFullyReachableError(f"all vertices already reachable from {u}")
+        raise AlreadyFullyReachableError(f"all vertices already reachable from {part.source}")
     return sorted(part.unreachable)
 
 

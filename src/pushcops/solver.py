@@ -262,6 +262,13 @@ def fixpoint(layout: BitLayout) -> tuple[tuple[list[bytes], list[bytes]], int]:
     Returns the per-turn planes, `planes[t][b]` holding bit b of level + 1
     (0 means unreached) at every layout position as little-endian bytes, and
     the number of rounds run, the last of which adds nothing.
+
+    Round 1 evaluates both sides; after that a side's pre-image is evaluated
+    only if the previous round added positions to its input (robber-turn
+    positions for `cop_pre`, cop-turn positions for `robber_pre`), and counts
+    as adding nothing otherwise.  This is exact for any rules: both pre-images
+    are monotone in their input, so an input unchanged since the side's last
+    evaluation gives back a set already OR-ed into the side's won set.
     """
     planes: tuple[list[int], list[int]] = ([], [])
 
@@ -283,10 +290,13 @@ def fixpoint(layout: BitLayout) -> tuple[tuple[list[bytes], list[bytes]], int]:
     record(0, target, 1)
     record(1, target, 1)
     rounds = 0
+    new_cop = new_robber = True  # round 1 evaluates both sides
     while True:
         rounds += 1
-        new_cop = layout.cop_pre(won_robber) & ~won_cop
-        new_robber = layout.robber_pre(won_cop) & ~won_robber
+        new_cop, new_robber = (
+            layout.cop_pre(won_robber) & ~won_cop if new_robber else 0,
+            layout.robber_pre(won_cop) & ~won_robber if new_cop else 0,
+        )
         if not (new_cop or new_robber):
             break
         won_cop |= new_cop

@@ -26,11 +26,10 @@ from .graph import (
     OrientedGraph,
     UnderlyingGraph,
     is_dag,
-    reachable_from,
     serialize_arcs,
     validate_graph,
 )
-from .pushdag import extend_reachability, find_dag_push_set, reachability_partition
+from .pushdag import _growth_pushes, find_dag_push_set, reachability_partition
 from .solver import OptimalRobber, cop_numbers, solve_game
 from .strategies import StayRobber, StrongPushDagStrategy, TrapCaptureStrategy
 
@@ -214,16 +213,15 @@ def suite_pushdag_props(max_n: int = 5) -> SuiteResult:
             res.checked += 1
             u = min(v for v in range(g.n) if og.in_degree(v) == 0)
             current = og
+            part = reachability_partition(current, u)
             rounds = 0
-            while True:
-                part = reachability_partition(current, u)
-                if not part.unreachable:
-                    break
+            while part.unreachable:
                 rounds += 1
                 if rounds > g.n - 1:
                     res.fail("normalization exceeded n-1 growth rounds", og)
                     break
-                nxt = current.push_many(extend_reachability(current, u))
+                # `current` is a DAG with source u: checked above or by the last round
+                nxt = current.push_many(_growth_pushes(part))
                 ok, _ = is_dag(nxt)
                 if not ok:
                     res.fail("growth round broke acyclicity", og)
@@ -231,14 +229,14 @@ def suite_pushdag_props(max_n: int = 5) -> SuiteResult:
                 if nxt.in_degree(u) != 0:
                     res.fail("growth round destroyed the source", og)
                     break
-                reach = reachable_from(nxt, u)
-                if not part.reachable <= reach:
+                grown = reachability_partition(nxt, u)
+                if not part.reachable <= grown.reachable:
                     res.fail("growth round lost a reachable vertex", og)
                     break
-                if not part.boundary <= reach:
+                if not part.boundary <= grown.reachable:
                     res.fail("growth round missed a boundary vertex", og)
                     break
-                current = nxt
+                current, part = nxt, grown
     return res
 
 

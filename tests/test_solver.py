@@ -15,6 +15,7 @@ from pushcops.graph import OrientedGraph, validate_graph
 from pushcops.solver import (
     MEMORY_BUDGET,
     Arena,
+    BitLayout,
     OptimalCop,
     OptimalRobber,
     audit_levels,
@@ -32,6 +33,17 @@ def triangle():
 
 def directed_cycle(n):
     return validate_graph(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def pinned_instances():
+    """The 420 seeded (orientation, variant) pairs whose solves are pinned:
+    n = 1..6, every push ability, k = 1..3 for n <= 4 and 1 above."""
+    for n in range(1, 7):
+        for push in PushAbility:
+            for k in (1, 2, 3) if n <= 4 else (1,):
+                for seed in range(10):
+                    og = random_oriented(random.Random(f"{n}-{push.value}-{k}-{seed}"), n)
+                    yield og, GameVariant(push, k)
 
 
 class TestArena:
@@ -97,19 +109,34 @@ class TestSolve:
         """Planes, placement levels and round counts of 420 seeded solves, frozen."""
         digest = hashlib.sha256()
         solves = 0
-        for n in range(1, 7):
-            for push in PushAbility:
-                for k in (1, 2, 3) if n <= 4 else (1,):
-                    for seed in range(10):
-                        og = random_oriented(random.Random(f"{n}-{push.value}-{k}-{seed}"), n)
-                        result = solve_game(og, GameVariant(push, k))
-                        solved = (result.planes, result.placed, result.iterations)
-                        digest.update(repr(solved).encode())
-                        solves += 1
+        for og, variant in pinned_instances():
+            result = solve_game(og, variant)
+            solved = (result.planes, result.placed, result.iterations)
+            digest.update(repr(solved).encode())
+            solves += 1
         assert solves == 420
         assert digest.hexdigest() == (
             "0fcd21240c6c952941f595c2a83c2f1d5de609920b8fd6d05a950ba0fcde41f6"
         )
+
+    def test_each_round_after_the_first_evaluates_one_side(self, monkeypatch):
+        """Over the pinned solves, round 1 evaluates both pre-images and every
+        later round only the side whose input grew: iterations + 1 in all."""
+        calls = 0
+
+        def counted(pre):
+            def wrapper(self, won):
+                nonlocal calls
+                calls += 1
+                return pre(self, won)
+            return wrapper
+
+        monkeypatch.setattr(BitLayout, "cop_pre", counted(BitLayout.cop_pre))
+        monkeypatch.setattr(BitLayout, "robber_pre", counted(BitLayout.robber_pre))
+        for og, variant in pinned_instances():
+            calls = 0
+            result = solve_game(og, variant)
+            assert calls == result.iterations + 1, (og.arcs(), variant)
 
     def test_cop_numbers_directed_cycle(self):
         og = directed_cycle(5)

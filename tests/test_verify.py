@@ -28,8 +28,8 @@ class TestOneCopSuites:
 
 class TestPushdagProps:
     def test_checks_the_library_growth_round(self, monkeypatch):
-        real = verify.extend_reachability
-        monkeypatch.setattr(verify, "extend_reachability", lambda og, u: real(og, u)[:-1])
+        real = verify._growth_pushes
+        monkeypatch.setattr(verify, "_growth_pushes", lambda part: real(part)[:-1])
         assert not verify.suite_pushdag_props(max_n=3).passed
 
 
