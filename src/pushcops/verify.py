@@ -11,8 +11,8 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .engine import Game, GameVariant, PushAbility, Turn, play_match
-from .errors import BadFamilyParamsError, IllegalActionError, InternalInvariantViolation
+from .engine import GameVariant, PushAbility, play_match
+from .errors import BadFamilyParamsError, IllegalStrategyActionError, InternalInvariantViolation
 from .four_regular import FourRegularStrategy
 from .generators import (
     circulant,
@@ -135,32 +135,32 @@ def worst_robber_line(og: OrientedGraph, make_cop, max_rounds: int) -> int:
     """Worst capture round of the cop strategy `make_cop(og)` over every robber
     placement and move from `og`: a DFS of the one-player game it leaves.
 
-    Strategies cannot be copied mid-match, so each node builds a fresh one
-    and replays the robber's recorded actions through `engine.Game`.  Raises
+    Each leaf line is one `play_match` against a fresh strategy: the robber
+    replays a queued prefix, then plays the first legal action and queues the
+    prefix with each other action in its place.  Raises
     `InternalInvariantViolation` when a line is still uncaptured after
     `max_rounds` rounds, and lets the strategy's own violations and
-    `IllegalActionError` on an illegal cop action propagate.
+    `IllegalStrategyActionError` on an illegal cop action propagate.
     """
-    game = Game(og, STRONG_1)
     worst = 0
     lines: list[tuple] = [()]
     while lines:
         line = lines.pop()
-        strategy = make_cop(og)
-        state = game.initial_state()
-        rounds = 0
-        for reply in (*line, None):
-            rounds += state.turn is Turn.COP
-            state = game.apply(state, strategy(game, state))
-            if not state.captured and reply is not None:
-                state = game.apply(state, reply)
-            if state.captured:
-                worst = max(worst, rounds)
-                break
-        else:
-            if rounds >= max_rounds:
-                raise InternalInvariantViolation(f"robber line uncaptured after {rounds} rounds")
-            lines.extend(line + (a,) for a in game.legal_actions(state))
+        played: list = []
+
+        def robber(game, state):
+            if len(played) < len(line):
+                action = line[len(played)]
+            else:
+                action, *others = game.legal_actions(state)
+                lines.extend((*played, a) for a in others)
+            played.append(action)
+            return action
+
+        outcome = play_match(og, make_cop(og), robber, STRONG_1, max_rounds).outcome
+        if outcome["type"] == "round-limit":
+            raise InternalInvariantViolation(f"robber line uncaptured after {outcome['round']} rounds")
+        worst = max(worst, outcome["round"])
     return worst
 
 
@@ -190,7 +190,7 @@ def suite_strategy_4regular(max_n: int = 5) -> SuiteResult:
                 # every line of these families ends within 8 rounds, so 4n
                 # leaves room without letting a looping line run for long
                 worst = max(worst, worst_robber_line(og, make_cop, 4 * g.n))
-            except (InternalInvariantViolation, IllegalActionError) as exc:
+            except (InternalInvariantViolation, IllegalStrategyActionError) as exc:
                 res.fail(f"{name}: {type(exc).__name__}: {exc}", og)
             fired.update({e["script"] or "dispatch" for cop in cops for e in cop.audit_log})
         res.checked += checked

@@ -6,7 +6,12 @@ from hypothesis import strategies as st
 
 from pushcops.engine import GameVariant, PushAbility, play_match
 from pushcops.errors import NotSingleSourceDagError, RobberNotTrappedError
-from pushcops.generators import complete, enumerate_orientations, octahedron
+from pushcops.generators import (
+    complete,
+    enumerate_connected_graphs,
+    enumerate_orientations,
+    octahedron,
+)
 from pushcops.graph import is_dag, same_orientation, validate_graph
 from pushcops.pushdag import (
     dag_push_target,
@@ -22,7 +27,7 @@ from pushcops.strategies import (
     StrongPushDagStrategy,
     TrapCaptureStrategy,
 )
-from pushcops.verify import random_trapped_instance
+from pushcops.verify import random_trapped_instance, worst_robber_line
 
 from conftest import random_oriented
 
@@ -95,6 +100,22 @@ class TestStrongPushDag:
         dag, _ = normalize_single_source(target)
         assert is_dag(strategy.target)[0]
         assert single_source(strategy.target) == strategy.source == single_source(dag)
+
+    def test_every_robber_line_captured(self):
+        """Every robber line from each of the 631 DAG-pushable orientations of
+        the connected graphs on at most 4 vertices ends in capture within 7
+        rounds; only the optimal robber's line is checked elsewhere."""
+        checked = worst = 0
+        for n in range(1, 5):
+            for g in enumerate_connected_graphs(n):
+                for rep in enumerate_orientations(g, per_class=True):
+                    if find_dag_push_set(rep) is None:
+                        continue
+                    for p in range(1 << (n - 1)):
+                        checked += 1
+                        line = worst_robber_line(rep.with_parity(p), StrongPushDagStrategy, 8 * n)
+                        worst = max(worst, line)
+        assert (checked, worst) == (631, 7)
 
     @pytest.mark.parametrize("graph", [complete(5), octahedron()], ids=["K5", "octahedron"])
     def test_class_target_matches_fresh_computation(self, graph):

@@ -1,10 +1,10 @@
 import pytest
 
 from pushcops import verify
-from pushcops.engine import PushAbility
+from pushcops.engine import MoveTo, PushAbility, Turn
 from pushcops.errors import InternalInvariantViolation
 from pushcops.four_regular import FourRegularStrategy
-from pushcops.generators import complete
+from pushcops.generators import complete, enumerate_orientations
 from pushcops.solver import SolveResult
 
 
@@ -89,3 +89,33 @@ class TestStrategy4Regular:
             "K5: every robber line from 1024 orientations captured within 6 rounds;"
             " orientations per script {'_claim_edge': 960, 'dispatch': 1024}"
         ]
+
+    def test_illegal_cop_action_becomes_failure(self, monkeypatch):
+        real = FourRegularStrategy.__call__
+
+        def move_in_place(self, game, state):
+            if state.turn is Turn.COP:
+                return (MoveTo(state.cops[0]),)
+            return real(self, game, state)
+
+        monkeypatch.setattr(verify, "four_regular_families", lambda: [("K5", complete(5))])
+        monkeypatch.setattr(FourRegularStrategy, "__call__", move_in_place)
+        res = verify.suite_strategy_4regular()
+        assert not res.passed
+        assert res.repro.graph == complete(5)
+        assert "IllegalStrategyActionError" in res.failures[0]
+
+    @pytest.mark.parametrize("name,leaves,worst", [("K5", 448, 3), ("octahedron", 1140, 8)])
+    def test_one_strategy_per_leaf_line(self, name, leaves, worst):
+        """Over the push-class representatives the checker builds one strategy
+        per leaf line: interior lines are not played on their own."""
+        g = dict(verify.four_regular_families())[name]
+        made: list[FourRegularStrategy] = []
+
+        def make_cop(og):
+            made.append(FourRegularStrategy(og))
+            return made[-1]
+
+        rounds = [verify.worst_robber_line(rep, make_cop, 4 * g.n)
+                  for rep in enumerate_orientations(g, per_class=True)]
+        assert (len(made), max(rounds)) == (leaves, worst)
