@@ -16,7 +16,7 @@ from __future__ import annotations
 from .errors import InternalInvariantViolation, NotFourRegularError
 from .engine import Game, GameState, MoveTo, PlaceCops, Push, Stay, Turn
 from .graph import OrientedGraph, is_trapped
-from .strategies import Strategy, TrapCaptureStrategy
+from .strategies import Strategy, trap_walk
 
 
 class FourRegularStrategy(Strategy):
@@ -29,9 +29,11 @@ class FourRegularStrategy(Strategy):
                 raise NotFourRegularError(f"vertex {v} has degree {og.graph.degree(v)}")
         self.visited: set[int] = set()
         self.mode = "invariant"  # invariant | endgame
-        self.script = None
-        self.trap: TrapCaptureStrategy | None = None
         self.endgame_moves = 0
+        self.trap_path: tuple[int, ...] | None = None
+        self.script = None  # the running script generator
+        self.script_call: tuple | None = None  # its (method name, args)
+        self.views: list[tuple] = []  # the live view at each of its advances
         self.audit_log: list[dict] = []
         # live view refreshed on every cop turn, read by the script generators
         self.cur_game: Game | None = None
@@ -41,6 +43,21 @@ class FourRegularStrategy(Strategy):
 
     # framework -----------------------------------------------------------
 
+    @property
+    def memory(self):
+        """(visited, mode, endgame moves, trap path, script); the script is None
+        or (method name, args, the live view at each advance)."""
+        script = self.script and (*self.script_call, tuple(self.views))
+        return (frozenset(self.visited), self.mode, self.endgame_moves, self.trap_path, script)
+
+    @memory.setter
+    def memory(self, value):
+        visited, self.mode, self.endgame_moves, self.trap_path, script = value
+        self.visited = set(visited)
+        self.script = None
+        if script is not None:
+            self._load_script(*script)
+
     def __call__(self, game: Game, state: GameState):
         if state.turn is Turn.COP_PLACEMENT:
             return PlaceCops((0,) * game.variant.cops)
@@ -49,11 +66,11 @@ class FourRegularStrategy(Strategy):
         self.visited.add(r)
         self.cur_game, self.cur_og = game, og
         self.cur_robber, self.cur_cop = r, state.cops[0]
-        if self.trap is not None:
-            return self.trap(game, state)
-        if is_trapped(og, r):
-            self.trap = TrapCaptureStrategy(og, state.cops[0], r)
-            return self.trap(game, state)
+        if self.trap_path is None and is_trapped(og, r):
+            self.trap_path = tuple(og.graph.shortest_path(state.cops[0], r))
+            self.script = None  # never consulted again
+        if self.trap_path is not None:
+            return trap_walk(game, state, self.trap_path)
         if og.out_degree(r) == 1:
             # a push on the unique escape hatch traps the robber outright
             self.script = None
@@ -88,12 +105,20 @@ class FourRegularStrategy(Strategy):
             if self.endgame_moves > 6 * og.n + 30:
                 raise InternalInvariantViolation("trap endgame exceeded its move budget")
 
-    def _start_script(self, gen):
-        self.script = gen
+    def _start_script(self, method, *args):
         self._note_endgame()
+        self._load_script(method.__name__, args)
         return self._advance_script()
 
+    def _load_script(self, name: str, args: tuple, views=()):
+        """Build the script `name(*args)` and replay the live views it has seen."""
+        self.script, self.script_call, self.views = getattr(self, name)(*args), (name, args), []
+        for view in views:
+            self.cur_og, self.cur_robber, self.cur_cop = view
+            self._advance_script()
+
     def _advance_script(self):
+        self.views.append((self.cur_og, self.cur_robber, self.cur_cop))
         try:
             return next(self.script)
         except StopIteration:
@@ -121,11 +146,11 @@ class FourRegularStrategy(Strategy):
         if og.graph.has_edge(x, y):
             if og.has_arc(y, x):
                 x, y = y, x  # relabel so the arc runs x -> y
-            return self._start_script(self._claim_edge(u, x, y))
+            return self._start_script(self._claim_edge, u, x, y)
         if og.out_degree(x) != 2 or og.out_degree(y) != 2:
             if og.out_degree(x) == 2:
                 x, y = y, x  # x takes the off-degree role
-            return self._start_script(self._claim_neighbor_visited(u, x, y))
+            return self._start_script(self._claim_neighbor_visited, u, x, y)
         visx = [w for w in og.out_neighbors(x) if w in self.visited]
         visy = [w for w in og.out_neighbors(y) if w in self.visited]
         if not visx:
@@ -144,8 +169,8 @@ class FourRegularStrategy(Strategy):
         if og.graph.has_edge(x1, x2) or og.graph.has_edge(y1, y2):
             if not og.graph.has_edge(x1, x2):
                 x, y, x1, x2, y1, y2 = y, x, y1, y2, x1, x2
-            return self._start_script(self._nonedge_case1(u, x, y, x1, x2, y1, y2))
-        return self._start_script(self._nonedge_case2(u, x, y, x1, x2, y1, y2))
+            return self._start_script(self._nonedge_case1, u, x, y, x1, x2, y1, y2)
+        return self._start_script(self._nonedge_case2, u, x, y, x1, x2, y1, y2)
 
     # scripted endgames.  Each generator reads the live view between yields
     # and raises on anything outside its case analysis.

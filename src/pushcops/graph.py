@@ -297,18 +297,6 @@ def is_trapped(og: OrientedGraph, v: int) -> bool:
     return og.out_degree(v) == 0
 
 
-def orientation_bits(og: OrientedGraph) -> int:
-    """Current direction bits of all edges, as one integer (bit e set = flipped)."""
-    bits = 0
-    for e in range(og.m):
-        bits |= og.edge_flipped(e) << e
-    return bits
-
-
-def same_orientation(a: OrientedGraph, b: OrientedGraph) -> bool:
-    return a.graph == b.graph and orientation_bits(a) == orientation_bits(b)
-
-
 # arc-list text format: "n m" header, then one "u v" line per arc (u -> v)
 
 def parse_arcs(text: str) -> OrientedGraph:

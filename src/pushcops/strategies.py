@@ -1,6 +1,8 @@
 """Constructive cop policies and simple robber policies.
 
-Each strategy instance owns its private memory and referees exactly one match.
+A strategy's `memory` is everything besides the game state that its next
+action depends on, as one hashable value: reading it after an action and
+setting it before the next lets one instance act on many lines of play.
 """
 
 from __future__ import annotations
@@ -19,6 +21,8 @@ from .pushdag import dag_push_target, normalize_single_source, push_delta, singl
 
 
 class Strategy:
+    memory = None  # positional strategies remember nothing
+
     def __call__(self, game: Game, state: GameState):
         raise NotImplementedError
 
@@ -39,28 +43,25 @@ class TrapCaptureStrategy(Strategy):
     def __init__(self, og: OrientedGraph, cop: int, robber: int):
         if not is_trapped(og, robber):
             raise RobberNotTrappedError(f"robber at {robber} has out-neighbors")
-        self.path = og.graph.shortest_path(cop, robber)
-        self.start = cop
-        self.robber = robber
-        self.pushes = 0
+        self.path = tuple(og.graph.shortest_path(cop, robber))
 
     def __call__(self, game: Game, state: GameState):
         if state.turn is Turn.COP_PLACEMENT:
-            return PlaceCops((self.start,) * game.variant.cops)
-        pos = _cop_pos(state)
-        step = self.path.index(pos)
-        nxt = self.path[step + 1]
-        og = game.orientation(state)
-        if og.has_arc(pos, nxt):
-            act = MoveTo(nxt)
-        else:
-            if game.graph.has_edge(pos, self.robber):
-                raise InternalInvariantViolation(
-                    f"trap capture would push {pos}, adjacent to the robber"
-                )
-            self.pushes += 1
-            act = Push(pos)
-        return (act,) + (Stay(),) * (game.variant.cops - 1)
+            return PlaceCops((self.path[0],) * game.variant.cops)
+        return trap_walk(game, state, self.path)
+
+
+def trap_walk(game: Game, state: GameState, path: tuple[int, ...]):
+    """One cop round of the walk along `path` to the robber trapped at its end."""
+    pos = _cop_pos(state)
+    nxt = path[path.index(pos) + 1]
+    if game.orientation(state).has_arc(pos, nxt):
+        act = MoveTo(nxt)
+    elif game.graph.has_edge(pos, path[-1]):
+        raise InternalInvariantViolation(f"trap capture would push {pos}, adjacent to the robber")
+    else:
+        act = Push(pos)
+    return (act,) + (Stay(),) * (game.variant.cops - 1)
 
 
 class DagChaseStrategy(Strategy):
@@ -75,7 +76,6 @@ class DagChaseStrategy(Strategy):
         self.og = og
         self.reach = {v: reachable_from(og, v) for v in range(og.n)}
         self.cop = cop
-        self.potentials: list[int] = []  # |R(cop)| per move, for audits
 
     def __call__(self, game: Game, state: GameState):
         if state.turn is Turn.COP_PLACEMENT:
@@ -84,7 +84,6 @@ class DagChaseStrategy(Strategy):
         r = state.robber
         if r not in self.reach[pos]:
             raise InternalInvariantViolation("robber escaped the cop's reachable set")
-        self.potentials.append(len(self.reach[pos]))
         best = min(
             (w for w in self.og.out_neighbors(pos) if r in self.reach[w]),
             key=lambda w: (len(self.reach[w]), w),
@@ -100,17 +99,18 @@ class StrongPushDagStrategy(Strategy):
         self.target, self.source = _class_dag_target(og.graph, og.ref_bits)
         self.push_budget = len(push_delta(og, self.target))
         self._chase: DagChaseStrategy | None = None
-        self._trap: TrapCaptureStrategy | None = None
+        # None, or the path of the trap walk once entered; the push phase and
+        # the chase are positional, since the target is the class's
+        self.memory: tuple[int, ...] | None = None
 
     def __call__(self, game: Game, state: GameState):
         if state.turn is Turn.COP_PLACEMENT:
             return PlaceCops((self.source,) * game.variant.cops)
-        if self._trap is not None:
-            return self._trap(game, state)
         og = game.orientation(state)
-        if is_trapped(og, state.robber):
-            self._trap = TrapCaptureStrategy(og, _cop_pos(state), state.robber)
-            return self._trap(game, state)
+        if self.memory is None and is_trapped(og, state.robber):
+            self.memory = tuple(og.graph.shortest_path(_cop_pos(state), state.robber))
+        if self.memory is not None:
+            return trap_walk(game, state, self.memory)
         pending = push_delta(og, self.target)
         if pending:
             return (Push(pending[0]),) + (Stay(),) * (game.variant.cops - 1)

@@ -11,8 +11,13 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .engine import GameVariant, PushAbility, play_match
-from .errors import BadFamilyParamsError, IllegalStrategyActionError, InternalInvariantViolation
+from .engine import Game, GameState, GameVariant, PushAbility, Turn, play_match
+from .errors import (
+    BadFamilyParamsError,
+    IllegalActionError,
+    IllegalStrategyActionError,
+    InternalInvariantViolation,
+)
 from .four_regular import FourRegularStrategy
 from .generators import (
     circulant,
@@ -29,8 +34,8 @@ from .graph import (
     serialize_arcs,
     validate_graph,
 )
-from .pushdag import _growth_pushes, find_dag_push_set, reachability_partition
-from .solver import OptimalRobber, cop_numbers, solve_game
+from .pushdag import _growth_pushes, find_dag_push_set, push_delta, reachability_partition
+from .solver import cop_numbers, solve_game
 from .strategies import StayRobber, StrongPushDagStrategy, TrapCaptureStrategy
 
 
@@ -65,31 +70,80 @@ def _connected_graphs(max_n: int, max_degree: int | None = None):
 STRONG_1 = GameVariant(PushAbility.STRONG, 1)
 
 
+def worst_robber_lines(cop, members: list[OrientedGraph]) -> dict[int, int]:
+    """Worst capture round of the one-cop strong-push strategy `cop` over every
+    robber line from each member of one push class, keyed by parity.
+
+    A depth-first search on one `Game` that branches on every robber
+    placement and move and, at each cop turn, sets `cop.memory`, asks `cop`
+    to act and reads the memory back.  Rounds count as in `play_match`.  A
+    (state, memory) repeated on the search stack, a line that never ends,
+    raises `InternalInvariantViolation`; an illegal cop action raises
+    `IllegalStrategyActionError`.
+    """
+    game = Game(members[0], STRONG_1)
+    start = cop.memory
+    # a cop turn's (parity, cops, robber, memory) -> rounds left on its worst
+    # line, None while on the search stack.  Every line passes cop turns, so
+    # memoizing them is enough; cops is None only on the placement turn.
+    memo: dict = {}
+
+    def worst(state: GameState, memory, round_no: int) -> int:
+        if state.captured:
+            return 0
+        if state.turn is Turn.ROBBER or state.turn is Turn.ROBBER_PLACEMENT:
+            return max(worst(game.apply(state, a), memory, round_no)
+                       for a in game.legal_actions(state))
+        key = (state.parity, state.cops, state.robber, memory)
+        done = memo.get(key, -1)
+        if done is None:
+            raise InternalInvariantViolation(
+                f"robber line never ends: a position repeats after round {round_no}")
+        if done >= 0:
+            return done
+        memo[key] = None
+        cop_round = state.turn is Turn.COP
+        round_no += cop_round
+        cop.memory = memory
+        try:
+            after = game.apply(state, cop(game, state))
+        except IllegalActionError as exc:
+            raise IllegalStrategyActionError("cops", round_no, str(exc)) from exc
+        done = memo[key] = cop_round + worst(after, cop.memory, round_no)
+        return done
+
+    return {og.parity: worst(GameState(og.parity, None, None, Turn.COP_PLACEMENT), start, 0)
+            for og in members}
+
+
 def suite_theorem_dag(max_n: int = 5) -> SuiteResult:
     """Pushable-to-DAG orientations are one-cop-win with strong push, and the
-    constructive push-then-chase strategy beats the optimal robber."""
+    push-then-chase strategy captures on every robber line within its push
+    budget plus 3(n-1) rounds: n-1 for the chase, 2(n-1) for a trap walk."""
     res = SuiteResult("theorem-dag")
+    worst_by_n: dict[int, int] = {}
     for g in _connected_graphs(max_n):
         for rep in enumerate_orientations(g, per_class=True):
             if find_dag_push_set(rep) is None:
                 continue
-            result = solve_game(rep, STRONG_1)
-            for p, win in result.member_wins().items():
-                member = rep.with_parity(p)
-                res.checked += 1
+            members = []
+            for p, win in solve_game(rep, STRONG_1).member_wins().items():
+                members.append(rep.with_parity(p))
                 if not win:
-                    res.fail(f"solver says robber-win on a DAG-pushable orientation", member)
-                    continue
-                # the class arena covers every member parity, so one solve
-                # also powers the optimal robber for all 2^(n-1) members
-                trace = play_match(
-                    member,
-                    StrongPushDagStrategy(member),
-                    OptimalRobber(result),
-                    STRONG_1,
-                )
-                if trace.outcome["type"] != "captured":
-                    res.fail("push-then-chase strategy failed to capture", member)
+                    res.fail("solver says robber-win on a DAG-pushable orientation", members[-1])
+            res.checked += len(members)
+            cop = StrongPushDagStrategy(rep)  # its target is the class's: it serves every member
+            try:
+                rounds = worst_robber_lines(cop, members)
+            except (InternalInvariantViolation, IllegalStrategyActionError) as exc:
+                res.fail(f"push-then-chase strategy: {type(exc).__name__}: {exc}", rep)
+                continue
+            for member in members:
+                bound = len(push_delta(member, cop.target)) + 3 * (g.n - 1)
+                if rounds[member.parity] > bound:
+                    res.fail(f"capture took {rounds[member.parity]} rounds, bound {bound}", member)
+            worst_by_n[g.n] = max(worst_by_n.get(g.n, 0), *rounds.values())
+    res.findings.append(f"worst round per n {worst_by_n}")
     return res
 
 
@@ -131,39 +185,6 @@ def four_regular_families() -> list[tuple[str, UnderlyingGraph]]:
     ]
 
 
-def worst_robber_line(og: OrientedGraph, make_cop, max_rounds: int) -> int:
-    """Worst capture round of the cop strategy `make_cop(og)` over every robber
-    placement and move from `og`: a DFS of the one-player game it leaves.
-
-    Each leaf line is one `play_match` against a fresh strategy: the robber
-    replays a queued prefix, then plays the first legal action and queues the
-    prefix with each other action in its place.  Raises
-    `InternalInvariantViolation` when a line is still uncaptured after
-    `max_rounds` rounds, and lets the strategy's own violations and
-    `IllegalStrategyActionError` on an illegal cop action propagate.
-    """
-    worst = 0
-    lines: list[tuple] = [()]
-    while lines:
-        line = lines.pop()
-        played: list = []
-
-        def robber(game, state):
-            if len(played) < len(line):
-                action = line[len(played)]
-            else:
-                action, *others = game.legal_actions(state)
-                lines.extend((*played, a) for a in others)
-            played.append(action)
-            return action
-
-        outcome = play_match(og, make_cop(og), robber, STRONG_1, max_rounds).outcome
-        if outcome["type"] == "round-limit":
-            raise InternalInvariantViolation(f"robber line uncaptured after {outcome['round']} rounds")
-        worst = max(worst, outcome["round"])
-    return worst
-
-
 def suite_strategy_4regular(max_n: int = 5) -> SuiteResult:
     """The scripted 4-regular strategy captures the robber on every robber
     line: from every orientation of the families with n <= max_n and from
@@ -172,12 +193,6 @@ def suite_strategy_4regular(max_n: int = 5) -> SuiteResult:
     for name, g in four_regular_families():
         checked = worst = 0
         fired: Counter = Counter()  # orientations on which each script ran on some line
-        cops: list[FourRegularStrategy] = []
-
-        def make_cop(og: OrientedGraph) -> FourRegularStrategy:
-            cops.append(FourRegularStrategy(og))
-            return cops[-1]
-
         for og, win in _one_cop_verdicts([g]):
             if not win:
                 res.fail(f"{name}: solver says one strong-push cop loses", og)
@@ -185,14 +200,12 @@ def suite_strategy_4regular(max_n: int = 5) -> SuiteResult:
             if g.n > max_n and og.parity:
                 continue
             checked += 1
-            cops.clear()
+            cop = FourRegularStrategy(og)
             try:
-                # every line of these families ends within 8 rounds, so 4n
-                # leaves room without letting a looping line run for long
-                worst = max(worst, worst_robber_line(og, make_cop, 4 * g.n))
+                worst = max(worst, worst_robber_lines(cop, [og])[og.parity])
             except (InternalInvariantViolation, IllegalStrategyActionError) as exc:
                 res.fail(f"{name}: {type(exc).__name__}: {exc}", og)
-            fired.update({e["script"] or "dispatch" for cop in cops for e in cop.audit_log})
+            fired.update({e["script"] or "dispatch" for e in cop.audit_log})
         res.checked += checked
         res.findings.append(
             f"{name}: every robber line from {checked} orientations captured"
@@ -387,4 +400,5 @@ SUITES = {
     "pushdag-props": suite_pushdag_props,
     "trap": suite_trap,
     "monotonic": suite_monotonic,
+    "open-problem": open_problem_sweep,
 }

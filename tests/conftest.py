@@ -31,3 +31,15 @@ def random_connected_graph(rng: random.Random, n: int, extra_max: int | None = N
 def random_oriented(rng: random.Random, n: int) -> OrientedGraph:
     g = random_connected_graph(rng, n)
     return OrientedGraph(g, rng.getrandbits(g.m) if g.m else 0, rng.getrandbits(max(n - 1, 0)))
+
+
+def orientation_bits(og: OrientedGraph) -> int:
+    """Current direction bits of all edges, as one integer (bit e set = flipped)."""
+    bits = 0
+    for e in range(og.m):
+        bits |= og.edge_flipped(e) << e
+    return bits
+
+
+def same_orientation(a: OrientedGraph, b: OrientedGraph) -> bool:
+    return a.graph == b.graph and orientation_bits(a) == orientation_bits(b)

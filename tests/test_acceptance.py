@@ -29,8 +29,12 @@ def report(criterion: str, res) -> None:
 def test_pushable_to_dag_means_one_cop_wins():
     """Every DAG-pushable orientation (n <= 5, all orientations) is a win for
     one strong-push cop, both by solver verdict and by the constructive
-    push-then-chase strategy against the optimal robber."""
-    report("pushable-to-DAG => one strong-push cop (n<=5)", suite_theorem_dag(max_n=5))
+    push-then-chase strategy on every robber line, within its push budget
+    plus 3(n-1) rounds."""
+    res = suite_theorem_dag(max_n=5)
+    report("pushable-to-DAG => one strong-push cop (n<=5)", res)
+    assert res.checked == 49_959
+    assert res.findings == ["worst round per n {1: 0, 2: 2, 3: 4, 4: 7, 5: 9}"]
 
 
 def test_three_degenerate_one_cop_fast_tier():

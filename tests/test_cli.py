@@ -9,11 +9,13 @@ from pushcops.cli import main
 from pushcops.engine import GameVariant, PushAbility, Trace, play_match
 from pushcops.errors import BadFamilyParamsError
 from pushcops.generators import complete, cycle, enumerate_orientations, random_orientation
-from pushcops.graph import parse_arcs, same_orientation, serialize_arcs, validate_graph
+from pushcops.graph import parse_arcs, serialize_arcs, validate_graph
 from pushcops.pushdag import find_dag_push_set
 from pushcops.solver import solve_game
 from pushcops.strategies import ManualStrategy, RandomRobber
 from pushcops.sweep import CSV_HEADER, run_sweep
+
+from conftest import same_orientation
 
 
 def triangle_file(tmp_path):
@@ -223,7 +225,8 @@ class TestVerify:
     def test_max_n_reaches_strategy_4regular(self, monkeypatch, capsys):
         # the 64 push classes of K5 give 1,024 orientations
         monkeypatch.setattr(verify, "four_regular_families", lambda: [("K5", complete(5))])
-        monkeypatch.setattr(verify, "worst_robber_line", lambda og, make_cop, max_rounds: 0)
+        monkeypatch.setattr(verify, "worst_robber_lines",
+                            lambda cop, members: {og.parity: 0 for og in members})
         assert main(["verify", "strategy-4regular", "--max-n", "4"]) == 0
         assert "(64 checks)" in capsys.readouterr().out
         assert main(["verify", "strategy-4regular", "--max-n", "5"]) == 0
@@ -238,3 +241,7 @@ class TestVerify:
     def test_small_suite_passes(self, capsys):
         assert main(["verify", "monotonic", "--max-n", "3"]) == 0
         assert "monotonic: pass" in capsys.readouterr().out
+
+    def test_open_problem_suite_is_named(self, capsys):
+        assert main(["verify", "open-problem", "--max-n", "3"]) == 0
+        assert "open-problem-sweep: pass (23 checks)" in capsys.readouterr().out

@@ -24,11 +24,11 @@ from pushcops.engine import (
     play_match,
 )
 from pushcops.errors import BadVariantError, IllegalActionError, IllegalStrategyActionError
-from pushcops.graph import OrientedGraph, same_orientation, validate_graph
+from pushcops.graph import OrientedGraph, validate_graph
 from pushcops.solver import OptimalCop, OptimalRobber, solve_game
 from pushcops.strategies import RandomRobber, Strategy
 
-from conftest import random_oriented
+from conftest import random_oriented, same_orientation
 
 
 def triangle():

@@ -16,8 +16,9 @@ from pushcops.errors import InternalInvariantViolation, NotFourRegularError
 from pushcops.four_regular import FourRegularStrategy
 from pushcops.generators import circulant, complete, enumerate_orientations, octahedron
 from pushcops.graph import OrientedGraph, is_trapped, validate_graph
-from pushcops.solver import OptimalRobber, solve_game
-from pushcops.verify import worst_robber_line
+from pushcops.solver import solve_game
+from pushcops.strategies import RandomRobber, Strategy
+from pushcops.verify import worst_robber_lines
 
 STRONG = GameVariant(PushAbility.STRONG, 1)
 
@@ -49,17 +50,23 @@ class TestEveryRobberLine:
         line lasts at least the solver's optimal capture time."""
         for rep in list(enumerate_orientations(complete(5), per_class=True))[:8]:
             optimum = solve_game(rep, STRONG).capture_rounds
-            assert worst_robber_line(rep, FourRegularStrategy, 20) >= optimum
+            assert worst_robber_lines(FourRegularStrategy(rep), [rep])[rep.parity] >= optimum
 
     def test_uncaptured_line_raises(self):
-        def idle_cop(og):
-            def act(game, state):
+        class IdleCop(Strategy):
+            def __call__(self, game, state):
                 return PlaceCops((0,)) if state.turn is Turn.COP_PLACEMENT else (Stay(),)
-            return act
 
         og = next(enumerate_orientations(complete(5), per_class=True))
-        with pytest.raises(InternalInvariantViolation, match="uncaptured after 3 rounds"):
-            worst_robber_line(og, idle_cop, 3)
+        with pytest.raises(InternalInvariantViolation, match="never ends"):
+            worst_robber_lines(IdleCop(), [og])
+
+
+def scripts_run(strategy: FourRegularStrategy) -> set:
+    return {entry["script"] for entry in strategy.audit_log}
+
+
+LATE_FAMILIES = (circulant(10, (1, 2)), circulant(12, (1, 5)))
 
 
 class TestLargerFamilies:
@@ -70,60 +77,66 @@ class TestLargerFamilies:
         reach.  The audit log names the innermost script, so it shows up by
         its own name; only `_walk_to_gadget` delegates to it (in these samples
         the cop already stands in the gadget, so the walk itself never moves)."""
-        cops: list[FourRegularStrategy] = []
-
-        def make_cop(og):
-            cops.append(FourRegularStrategy(og))
-            return cops[-1]
-
+        ran: set = set()
         rng = random.Random(0)
-        for g in (circulant(10, (1, 2)), circulant(12, (1, 5))):
+        for g in LATE_FAMILIES:
             for _ in range(100):
                 og = OrientedGraph(g, rng.getrandbits(g.m), rng.getrandbits(g.n - 1))
-                worst_robber_line(og, make_cop, 4 * g.n)
-        ran = {entry["script"] for cop in cops for entry in cop.audit_log}
+                cop = FourRegularStrategy(og)
+                worst_robber_lines(cop, [og])
+                ran |= scripts_run(cop)
         assert {"_nonedge_case2", "_gadget_arrival"} <= ran, ran
         assert ran <= {None, "_claim_edge", "_claim_neighbor_visited", "_nonedge_case1",
                        "_nonedge_case2", "_walk_to_gadget", "_gadget_arrival"}
 
+    @pytest.mark.parametrize("g,index,seed,script", [
+        (circulant(10, (1, 2)), 51, 5, "_gadget_arrival"),
+        (circulant(10, (1, 2)), 84, 20, "_nonedge_case2"),
+        (circulant(12, (1, 5)), 24, 21, "_nonedge_case2"),
+    ], ids=["C10-gadget", "C10-case2", "C12-case2"])
+    def test_memory_round_trip(self, g, index, seed, script):
+        """At every cop turn of a seeded random-robber match that runs a late
+        script, a fresh strategy given the live strategy's memory chooses the
+        same action.  The orientation is the `index`-th of a Random(0) stream."""
+        rng = random.Random(0)
+        for _ in range(index + 1):
+            og = OrientedGraph(g, rng.getrandbits(g.m), rng.getrandbits(g.n - 1))
+        cop = FourRegularStrategy(og)
+
+        def checked(game, state):
+            fresh = FourRegularStrategy(og)
+            fresh.memory = cop.memory
+            action = cop(game, state)
+            assert fresh(game, state) == action
+            return action
+
+        trace = play_match(og, checked, RandomRobber(seed), STRONG)
+        assert trace.outcome["type"] == "captured"
+        assert script in scripts_run(cop)
+
 
 class TestMatches:
     def test_k5_all_classes_capture_with_clean_audit(self):
-        g = complete(5)
-        for rep in enumerate_orientations(g, per_class=True):
-            result = solve_game(rep, STRONG)
-            assert result.root_win
+        for rep in enumerate_orientations(complete(5), per_class=True):
             strategy = FourRegularStrategy(rep)
-            trace = play_match(rep, strategy, OptimalRobber(result), STRONG)
-            assert trace.outcome["type"] == "captured"
+            worst_robber_lines(strategy, [rep])
             for entry in strategy.audit_log:
                 assert entry["invariant"] or entry["mode"] != "invariant"
 
     def test_single_exit_robber_gets_trapped_next_round(self):
         """Whenever the robber sits on an out-degree <= 1 vertex on the cop's
-        move, the cop's action leaves it trapped against any reply."""
-        g = octahedron()
-        for rep in list(enumerate_orientations(g, per_class=True))[:24]:
-            result = solve_game(rep, STRONG)
-            strategy = FourRegularStrategy(rep)
-            robber = OptimalRobber(result)
-            game = Game(rep, STRONG)
-            state = game.initial_state()
-            rounds = 0
-            while not state.captured and rounds < 200:
-                if state.turn in (Turn.COP_PLACEMENT, Turn.COP):
-                    if state.turn is Turn.COP:
-                        rounds += 1
-                    og = game.orientation(state)
-                    check = (
-                        state.turn is Turn.COP
-                        and og.out_degree(state.robber) == 1
-                        and not is_trapped(og, state.robber)
-                    )
-                    state = game.apply(state, strategy(game, state))
-                    if check and not state.captured:
-                        after = game.orientation(state)
-                        assert is_trapped(after, state.robber)
-                else:
-                    state = game.apply(state, robber(game, state))
-            assert state.captured
+        move, the cop's action leaves it trapped against any reply, on every
+        robber line."""
+
+        class Checked(FourRegularStrategy):
+            def __call__(self, game, state):
+                action = super().__call__(game, state)
+                og = game.orientation(state)
+                if (state.turn is Turn.COP and og.out_degree(state.robber) == 1
+                        and not is_trapped(og, state.robber)):
+                    after = game.apply(state, action)
+                    assert after.captured or is_trapped(game.orientation(after), after.robber)
+                return action
+
+        for rep in list(enumerate_orientations(octahedron(), per_class=True))[:24]:
+            worst_robber_lines(Checked(rep), [rep])

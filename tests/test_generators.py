@@ -18,7 +18,9 @@ from pushcops.generators import (
     path,
     random_orientation,
 )
-from pushcops.graph import UnderlyingGraph, orientation_bits, same_orientation
+from pushcops.graph import UnderlyingGraph
+
+from conftest import orientation_bits, same_orientation
 
 
 class TestFamilies:

@@ -17,16 +17,14 @@ from pushcops.graph import (
     UnderlyingGraph,
     is_dag,
     is_trapped,
-    orientation_bits,
     parse_arcs,
     push_parity,
     reachable_from,
-    same_orientation,
     serialize_arcs,
     validate_graph,
 )
 
-from conftest import random_oriented
+from conftest import orientation_bits, random_oriented, same_orientation
 
 
 def triangle() -> OrientedGraph:
