@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -140,3 +141,23 @@ class TestMatches:
 
         for rep in list(enumerate_orientations(octahedron(), per_class=True))[:24]:
             worst_robber_lines(Checked(rep), [rep])
+
+
+class TestPinnedBehaviour:
+    def test_random_robber_matches_are_pinned(self):
+        """sha256 over to_json() and the audit log of 150 seeded random-robber
+        matches each on K5, the octahedron, C8(1,2), C10(1,2) and C12(1,5),
+        from orientations drawn off one Random(0) stream."""
+        digest = hashlib.sha256()
+        rng = random.Random(0)
+        for g in (complete(5), octahedron(), circulant(8, (1, 2))) + LATE_FAMILIES:
+            for seed in range(150):
+                og = OrientedGraph(g, rng.getrandbits(g.m), rng.getrandbits(g.n - 1))
+                cop = FourRegularStrategy(og)
+                trace = play_match(og, cop, RandomRobber(seed), STRONG)
+                assert trace.outcome["type"] == "captured"
+                digest.update(trace.to_json().encode())
+                digest.update(repr(cop.audit_log).encode())
+        assert digest.hexdigest() == (
+            "3cd63f49c8e1fd6b4a02ed490c6a176dcd0b246c6abfe69f0d6d8a6ff9cd7506"
+        )
