@@ -119,15 +119,19 @@ def worst_robber_lines(cop, members: list[OrientedGraph]) -> dict[int, int]:
 def suite_theorem_dag(max_n: int = 5) -> SuiteResult:
     """Pushable-to-DAG orientations are one-cop-win with strong push, and the
     push-then-chase strategy captures on every robber line within its push
-    budget plus 3(n-1) rounds: n-1 for the chase, 2(n-1) for a trap walk."""
+    budget plus 3(n-1) rounds: n-1 for the chase, 2(n-1) for a trap walk.
+    The lines include the solver-optimal robber's, so a worst line shorter
+    than the solver's optimum means the two engines disagree."""
     res = SuiteResult("theorem-dag")
     worst_by_n: dict[int, int] = {}
+    excess_by_n: dict[int, int] = {}
     for g in _connected_graphs(max_n):
         for rep in enumerate_orientations(g, per_class=True):
             if find_dag_push_set(rep) is None:
                 continue
             members = []
-            for p, win in solve_game(rep, STRONG_1).member_wins().items():
+            solved = solve_game(rep, STRONG_1)
+            for p, win in solved.member_wins().items():
                 members.append(rep.with_parity(p))
                 if not win:
                     res.fail("solver says robber-win on a DAG-pushable orientation", members[-1])
@@ -139,11 +143,20 @@ def suite_theorem_dag(max_n: int = 5) -> SuiteResult:
                 res.fail(f"push-then-chase strategy: {type(exc).__name__}: {exc}", rep)
                 continue
             for member in members:
+                worst = rounds[member.parity]
                 bound = len(push_delta(member, cop.target)) + 3 * (g.n - 1)
-                if rounds[member.parity] > bound:
-                    res.fail(f"capture took {rounds[member.parity]} rounds, bound {bound}", member)
+                if worst > bound:
+                    res.fail(f"capture took {worst} rounds, bound {bound}", member)
+                optimum = solved.member_rounds(member.parity)
+                if optimum is None:
+                    continue  # a robber-win member, failed above
+                if worst < optimum:
+                    res.fail(f"worst robber line took {worst} rounds, under the solver"
+                             f" optimum {optimum}", member)
+                excess_by_n[g.n] = max(excess_by_n.get(g.n, 0), worst - optimum)
             worst_by_n[g.n] = max(worst_by_n.get(g.n, 0), *rounds.values())
     res.findings.append(f"worst round per n {worst_by_n}")
+    res.findings.append(f"worst excess over the solver optimum per n {excess_by_n}")
     return res
 
 

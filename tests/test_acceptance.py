@@ -34,7 +34,10 @@ def test_pushable_to_dag_means_one_cop_wins():
     res = suite_theorem_dag(max_n=5)
     report("pushable-to-DAG => one strong-push cop (n<=5)", res)
     assert res.checked == 49_959
-    assert res.findings == ["worst round per n {1: 0, 2: 2, 3: 4, 4: 7, 5: 9}"]
+    assert res.findings == [
+        "worst round per n {1: 0, 2: 2, 3: 4, 4: 7, 5: 9}",
+        "worst excess over the solver optimum per n {1: 0, 2: 1, 3: 3, 4: 5, 5: 7}",
+    ]
 
 
 def test_three_degenerate_one_cop_fast_tier():

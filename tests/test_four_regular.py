@@ -5,9 +5,12 @@ import pytest
 
 from pushcops.engine import (
     Game,
+    GameState,
     GameVariant,
+    MoveTo,
     PlaceCops,
     PlaceRobber,
+    Push,
     PushAbility,
     Stay,
     Turn,
@@ -31,18 +34,34 @@ class TestPreconditions:
 
 
 class TestScriptEnd:
-    def test_script_ending_untrapped_raises(self):
-        """A script that runs out while the robber still has two exits is a
-        broken case analysis, not a cue to improvise."""
+    """A script's plan exits, which no robber line of the suites reaches: each
+    is a broken case analysis, not a cue to improvise."""
+
+    @staticmethod
+    def act_on_plan(plan):
+        """The strategy's action on a plan of a K5 script, with the robber on
+        a vertex with two exits."""
         og = next(enumerate_orientations(complete(5), per_class=True))
         game = Game(og, STRONG)
         strategy = FourRegularStrategy(og)
         state = game.apply(game.initial_state(), strategy(game, game.initial_state()))
         r = next(v for v in range(1, og.n) if og.out_degree(v) >= 2)
         state = game.apply(state, PlaceRobber(r))
-        strategy.script = iter(())
+        strategy.plan = plan
+        return strategy(game, state)
+
+    def test_script_ending_untrapped_raises(self):
         with pytest.raises(InternalInvariantViolation, match="ended without trapping"):
-            strategy(game, state)
+            self.act_on_plan(())
+
+    def test_robber_off_the_expected_vertex_raises(self):
+        with pytest.raises(InternalInvariantViolation, match="robber expected at 0, found at"):
+            self.act_on_plan(((0, "_claim_edge", Push(1), ()),))
+
+    def test_message_step_raises_its_message(self):
+        message = "y should have gained the flipped x arc"
+        with pytest.raises(InternalInvariantViolation, match=message):
+            self.act_on_plan(((None, "_claim_edge", message, ()),))
 
 
 class TestEveryRobberLine:
@@ -75,9 +94,10 @@ class TestLargerFamilies:
         """Every robber line from 100 seeded random orientations each of
         C10(1,2) and C12(1,5) is captured, and between them these run the
         gadget arrival endgame, which K5, the octahedron and C8(1,2) never
-        reach.  The audit log names the innermost script, so it shows up by
-        its own name; only `_walk_to_gadget` delegates to it (in these samples
-        the cop already stands in the gadget, so the walk itself never moves)."""
+        reach.  The audit log names the script on the plan step taken, so the
+        arrival steps that `_nonedge_case2` plans show up by their own name
+        (in these samples the cop already stands in the gadget, so the walk
+        toward it never moves)."""
         ran: set = set()
         rng = random.Random(0)
         for g in LATE_FAMILIES:
@@ -114,6 +134,40 @@ class TestLargerFamilies:
         trace = play_match(og, checked, RandomRobber(seed), STRONG)
         assert trace.outcome["type"] == "captured"
         assert script in scripts_run(cop)
+
+
+class TestGadgetWalk:
+    def test_walk_captures_on_every_robber_line(self):
+        """No robber line of the suites walks toward the gadget: the cop
+        already stands in it.  Here, in a C30(1,3) orientation, the cop starts
+        on 2, outside the gadget around a robber camped on 17 with {17, 19}
+        visited.  It walks, pushing its own vertex to turn the next arc its
+        way, and captures on every robber line: the robber stays until the
+        arrival endgame or leaves the camp on the way."""
+        og = OrientedGraph(circulant(30, (1, 3)), 876700280566095628, 56318309)
+        game = Game(og, STRONG)
+        cop = FourRegularStrategy(og)
+        steps: set = set()
+
+        def capture_every_line(state, memory, round_no):
+            if state.captured:
+                return
+            if state.turn is Turn.ROBBER:
+                for reply in game.legal_actions(state):
+                    capture_every_line(game.apply(state, reply), memory, round_no)
+                return
+            assert round_no <= 6 * og.n + 30
+            cop.memory = memory
+            audited = len(cop.audit_log)
+            action = cop(game, state)
+            if len(cop.audit_log) > audited:
+                steps.add((cop.audit_log[-1]["script"], type(action[0])))
+            capture_every_line(game.apply(state, action), cop.memory, round_no + 1)
+
+        start = GameState(og.parity, (2,), 17, Turn.COP)
+        capture_every_line(start, (frozenset({17, 19}), "invariant", 0, None, None), 1)
+        assert {("_walk_to_gadget", MoveTo), ("_walk_to_gadget", Push),
+                ("_gadget_arrival", MoveTo), ("_gadget_arrival", Push)} <= steps
 
 
 class TestMatches:

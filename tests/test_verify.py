@@ -8,6 +8,15 @@ from pushcops.generators import complete, enumerate_orientations
 from pushcops.solver import SolveResult
 
 
+class TestTheoremDag:
+    def test_line_under_the_solver_optimum_fails(self, monkeypatch):
+        monkeypatch.setattr(SolveResult, "member_rounds", lambda self, parity: 9)
+        res = verify.suite_theorem_dag(max_n=2)
+        assert not res.passed
+        assert res.failures[0] == "worst robber line took 0 rounds, under the solver optimum 9"
+        assert res.repro.n == 1
+
+
 class TestOneCopSuites:
     def test_every_orientation_counted(self):
         # 23 labeled orientations of the connected graphs on at most 3
@@ -71,7 +80,7 @@ class TestMonotonic:
 
 class TestStrategy4Regular:
     def test_strategy_error_becomes_failure(self, monkeypatch):
-        def broken(self, og, u):
+        def broken(self, game, og, u, cop):
             raise InternalInvariantViolation("no case applies")
 
         monkeypatch.setattr(verify, "four_regular_families", lambda: [("K5", complete(5))])
