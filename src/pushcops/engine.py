@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import json
 from dataclasses import dataclass, field, fields
 from typing import Sequence
 
 from .errors import BadVariantError, IllegalActionError, IllegalStrategyActionError, WrongTurnError
-from .graph import OrientedGraph, parse_arcs, push_parity, serialize_arcs
+from .graph import OrientedGraph, UnderlyingGraph, parse_arcs, push_parity, serialize_arcs
 
 
 class PushAbility(enum.Enum):
@@ -37,14 +38,25 @@ class Turn(enum.Enum):
 
 @dataclass(frozen=True)
 class GameState:
+    """One position of play.  Besides the fields it carries `captured`: the
+    robber stands on a cop's vertex."""
+
     parity: int
     cops: tuple[int, ...] | None
     robber: int | None
     turn: Turn
 
-    @property
-    def captured(self) -> bool:
-        return self.robber is not None and self.cops is not None and self.robber in self.cops
+    def __init__(self, parity: int, cops: tuple[int, ...] | None, robber: int | None,
+                 turn: Turn):
+        # frozen, so the fields go straight into the instance dict, as in
+        # OrientedGraph: every half-move and every scored action builds one.
+        # `captured` is derived, not a field: it is read at every half-move.
+        d = self.__dict__
+        d["parity"] = parity
+        d["cops"] = cops
+        d["robber"] = robber
+        d["turn"] = turn
+        d["captured"] = robber is not None and cops is not None and robber in cops
 
 
 # per-agent actions
@@ -74,8 +86,8 @@ class PlaceRobber:
     vertex: int
 
 
-AgentAction = Stay | MoveTo | Push
-# a cop round is one agent action per cop, resolved in cop-index order
+# a cop round is one agent action (Stay, MoveTo or Push) per cop, resolved
+# in cop-index order
 CopRound = tuple
 
 
@@ -113,36 +125,53 @@ def action_from_json(data) -> object:
     return cls(*(tuple(v) if isinstance(v, list) else v for v in values))
 
 
+class _ClassOrientations(dict):
+    """Parity -> orientation of one push class, each built on first lookup.
+
+    Every `Game` on the class shares one instance through
+    `_class_orientations`, so each parity's neighbour tables are built once.
+    Callers walk a class member by member and match by match, so one cached
+    class serves them all, as for `strategies._class_dag_chase`.
+    """
+
+    def __init__(self, graph: UnderlyingGraph, ref_bits: int):
+        super().__init__()
+        self.graph = graph
+        self.ref_bits = ref_bits
+
+    def __missing__(self, parity: int) -> OrientedGraph:
+        og = self[parity] = OrientedGraph(self.graph, self.ref_bits, parity)
+        return og
+
+
+_class_orientations = functools.lru_cache(maxsize=1)(_ClassOrientations)
+
+
 class Game:
-    """Transition system for one (graph, variant) pair.  Pure; no hidden state."""
+    """Transition system for one (graph, variant) pair.  Pure: the orientation
+    cache it shares with other games on the class holds only values."""
 
     def __init__(self, og: OrientedGraph, variant: GameVariant):
         self.og0 = og
         self.graph = og.graph
         self.ref_bits = og.ref_bits
         self.variant = variant
-        # one orientation per visited parity, so strategies and the engine
-        # share its neighbour tables
-        self._orientations: dict[int, OrientedGraph] = {og.parity: og}
+        # strategies and the engine share these orientations and their tables
+        self._orientations = _class_orientations(og.graph, og.ref_bits)
+        self._orientations.setdefault(og.parity, og)
 
     def initial_state(self) -> GameState:
         return GameState(self.og0.parity, None, None, Turn.COP_PLACEMENT)
 
-    def _oriented(self, parity: int) -> OrientedGraph:
-        og = self._orientations.get(parity)
-        if og is None:
-            og = self._orientations[parity] = OrientedGraph(self.graph, self.ref_bits, parity)
-        return og
-
     def orientation(self, state: GameState) -> OrientedGraph:
-        return self._oriented(state.parity)
+        return self._orientations[state.parity]
 
     def pushed(self, parity: int, v: int) -> OrientedGraph:
         """The orientation at `parity` after pushing v, from the same cache."""
-        return self._oriented(push_parity(parity, v, self.graph.n))
+        return self._orientations[push_parity(parity, v, self.graph.n)]
 
     def out_neighbors(self, parity: int, v: int) -> tuple[int, ...]:
-        return self._oriented(parity).out_neighbors(v)
+        return self._orientations[parity].out_neighbors(v)
 
     def _pushable(self, pos: int) -> Sequence[int]:
         """The vertices a cop on `pos` may push: none, its own, or all n."""
@@ -152,44 +181,58 @@ class Game:
             return (pos,)
         return ()
 
-    def _agent_options(self, parity: int, pos: int) -> list[AgentAction]:
-        opts: list[AgentAction] = [Stay()]
-        opts.extend(MoveTo(w) for w in self.out_neighbors(parity, pos))
-        opts.extend(Push(w) for w in self._pushable(pos))
-        return opts
-
     def legal_actions(self, state: GameState) -> list:
+        """The actions of `successors`, in its order."""
+        return [action for action, _ in self.successors(state)]
+
+    def successors(self, state: GameState) -> list[tuple[object, GameState]]:
+        """(action, next state) for every legal action, in `legal_actions` order.
+
+        The actions are generated legal, so unlike `apply` this checks none.
+        A cop round is one agent action per cop in cop-index order: each cop
+        stays, moves along an out-arc of the orientation the cops before it
+        left, or pushes.
+        """
+        parity, cops, robber, turn = state.parity, state.cops, state.robber, state.turn
         n = self.graph.n
-        k = self.variant.cops
-        if state.turn is Turn.COP_PLACEMENT:
-            return [PlaceCops(c) for c in itertools.combinations_with_replacement(range(n), k)]
-        if state.turn is Turn.ROBBER_PLACEMENT:
-            return [PlaceRobber(v) for v in range(n)]
+        if turn is Turn.COP_PLACEMENT:
+            return [(PlaceCops(c), GameState(parity, c, None, Turn.ROBBER_PLACEMENT))
+                    for c in itertools.combinations_with_replacement(range(n), self.variant.cops)]
+        if turn is Turn.ROBBER_PLACEMENT:
+            return [(PlaceRobber(v), GameState(parity, cops, v, Turn.COP)) for v in range(n)]
         if state.captured:
             return []
-        if state.turn is Turn.COP:
-            rounds: list[CopRound] = []
+        if turn is Turn.ROBBER:
+            return [(Stay(), GameState(parity, cops, robber, Turn.COP))] + [
+                (MoveTo(w), GameState(parity, cops, w, Turn.COP))
+                for w in self._orientations[parity]._tables[0][robber]
+            ]
+        if turn is not Turn.COP:
+            raise WrongTurnError(str(turn))
+        k = self.variant.cops
+        rounds: list[tuple[CopRound, GameState]] = []
 
-            def expand(i: int, parity: int, prefix: tuple):
-                if i == k:
-                    rounds.append(prefix)
-                    return
-                for act in self._agent_options(parity, state.cops[i]):
-                    p2 = parity
-                    if isinstance(act, Push):
-                        p2 = push_parity(parity, act.vertex, n)
-                    expand(i + 1, p2, prefix + (act,))
+        def expand(i: int, parity: int, positions: tuple[int, ...], prefix: tuple) -> None:
+            if i == k:
+                after = GameState(parity, tuple(sorted(positions)), robber, Turn.ROBBER)
+                rounds.append((prefix, after))
+                return
+            pos = cops[i]
+            expand(i + 1, parity, positions, prefix + (Stay(),))
+            for w in self._orientations[parity]._tables[0][pos]:
+                expand(i + 1, parity, positions[:i] + (w,) + positions[i + 1:],
+                       prefix + (MoveTo(w),))
+            for w in self._pushable(pos):
+                expand(i + 1, push_parity(parity, w, n), positions, prefix + (Push(w),))
 
-            expand(0, state.parity, ())
-            return rounds
-        if state.turn is Turn.ROBBER:
-            return [Stay()] + [MoveTo(w) for w in self.out_neighbors(state.parity, state.robber)]
-        raise WrongTurnError(str(state.turn))
+        expand(0, parity, cops, ())
+        return rounds
 
     def apply(self, state: GameState, action) -> GameState:
         n = self.graph.n
         k = self.variant.cops
-        if state.turn is Turn.COP_PLACEMENT:
+        turn = state.turn
+        if turn is Turn.COP_PLACEMENT:
             if not isinstance(action, PlaceCops):
                 raise IllegalActionError("cop placement expects PlaceCops")
             if len(action.vertices) != k:
@@ -200,7 +243,7 @@ class Game:
             if tuple(sorted(action.vertices)) != action.vertices:
                 raise IllegalActionError("cop positions must be sorted (cops are interchangeable)")
             return GameState(state.parity, action.vertices, None, Turn.ROBBER_PLACEMENT)
-        if state.turn is Turn.ROBBER_PLACEMENT:
+        if turn is Turn.ROBBER_PLACEMENT:
             if not isinstance(action, PlaceRobber):
                 raise IllegalActionError("robber placement expects PlaceRobber")
             if not 0 <= action.vertex < n:
@@ -208,21 +251,22 @@ class Game:
             return GameState(state.parity, state.cops, action.vertex, Turn.COP)
         if state.captured:
             raise IllegalActionError("game is over: robber already captured")
-        if state.turn is Turn.COP:
+        if turn is Turn.COP:
             if not isinstance(action, tuple) or len(action) != k:
                 raise IllegalActionError(f"cop round must be a tuple of {k} agent actions")
             parity = state.parity
             positions = list(state.cops)
             for i, act in enumerate(action):
-                if isinstance(act, Stay):
+                kind = type(act)
+                if kind is Stay:
                     continue
-                if isinstance(act, MoveTo):
-                    if act.vertex not in self.out_neighbors(parity, positions[i]):
+                if kind is MoveTo:
+                    if act.vertex not in self._orientations[parity]._tables[0][positions[i]]:
                         raise IllegalActionError(
                             f"cop {i} cannot move {positions[i]}->{act.vertex}: not an out-neighbor"
                         )
                     positions[i] = act.vertex
-                elif isinstance(act, Push):
+                elif kind is Push:
                     if act.vertex not in self._pushable(positions[i]):
                         raise IllegalActionError(
                             f"cop {i} on {positions[i]} cannot push {act.vertex} "
@@ -232,17 +276,18 @@ class Game:
                 else:
                     raise IllegalActionError(f"not a cop agent action: {act!r}")
             return GameState(parity, tuple(sorted(positions)), state.robber, Turn.ROBBER)
-        if state.turn is Turn.ROBBER:
-            if isinstance(action, Stay):
+        if turn is Turn.ROBBER:
+            kind = type(action)
+            if kind is Stay:
                 return GameState(state.parity, state.cops, state.robber, Turn.COP)
-            if isinstance(action, MoveTo):
-                if action.vertex not in self.out_neighbors(state.parity, state.robber):
+            if kind is MoveTo:
+                if action.vertex not in self._orientations[state.parity]._tables[0][state.robber]:
                     raise IllegalActionError(
                         f"robber cannot move {state.robber}->{action.vertex}: not an out-neighbor"
                     )
                 return GameState(state.parity, state.cops, action.vertex, Turn.COP)
             raise IllegalActionError(f"not a robber action: {action!r}")
-        raise WrongTurnError(str(state.turn))
+        raise WrongTurnError(str(turn))
 
 
 def default_round_limit(n: int, k: int) -> int:

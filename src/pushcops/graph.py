@@ -187,14 +187,19 @@ class OrientedGraph:
 
         Edges are sorted (u < v) pairs, so appending in edge order leaves every
         list ascending, the `adj` order that strategy tie-breaks rely on.
+        Each edge's direction is `edge_flipped`'s formula, read inline.
         """
-        outs: list[list[int]] = [[] for _ in range(self.n)]
-        ins: list[list[int]] = [[] for _ in range(self.n)]
-        for e, (u, v) in enumerate(self.graph.edges):
-            if self.edge_flipped(e):
+        n = self.graph.n
+        outs: list[list[int]] = [[] for _ in range(n)]
+        ins: list[list[int]] = [[] for _ in range(n)]
+        ref = self.ref_bits
+        p = self.parity << 1  # bit w of p is parity_bit(self.parity, w)
+        for u, v in self.graph.edges:
+            if (ref ^ (p >> u) ^ (p >> v)) & 1:
                 u, v = v, u
             outs[u].append(v)
             ins[v].append(u)
+            ref >>= 1
         return (tuple(map(tuple, outs)), tuple(map(tuple, ins)))
 
     def has_arc(self, u: int, v: int) -> bool:
@@ -294,7 +299,7 @@ def reachable_from(og: OrientedGraph, u: int) -> frozenset[int]:
 
 
 def is_trapped(og: OrientedGraph, v: int) -> bool:
-    return og.out_degree(v) == 0
+    return not og.out_neighbors(v)
 
 
 # arc-list text format: "n m" header, then one "u v" line per arc (u -> v)

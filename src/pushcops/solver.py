@@ -447,8 +447,8 @@ def solve_game(og: OrientedGraph, variant: GameVariant) -> SolveResult:
 def audit_levels(result: SolveResult) -> None:
     """Re-check the fixpoint equations at every state against `engine.Game`.
 
-    Successors come from the rules (`legal_actions` and `apply`), not from
-    the kernel, so this cross-checks the two; raises on any mismatch.
+    Successors come from the rules (`Game.successors`), not from the kernel,
+    so this cross-checks the two; raises on any mismatch.
     """
     arena = result.arena
     game = Game(OrientedGraph(arena.graph, arena.ref_bits, arena.initial_parity), arena.variant)
@@ -456,9 +456,7 @@ def audit_levels(result: SolveResult) -> None:
         if state.captured:
             expect = 0
         else:
-            succ_levels = [
-                result.level_of(game.apply(state, a)) for a in game.legal_actions(state)
-            ]
+            succ_levels = [result.level_of(after) for _, after in game.successors(state)]
             if state.turn in (Turn.COP_PLACEMENT, Turn.COP):
                 wins = [lv for lv in succ_levels if lv is not None]
                 expect = 1 + min(wins) if wins else None
@@ -496,27 +494,24 @@ class _OptimalBase:
         ):
             raise QueriedOnWrongArenaError("strategy queried with a different game")
 
-    def _scored(self, game: Game, state: GameState):
-        level_of = self.result.level_of
-        for ordinal, action in enumerate(game.legal_actions(state)):
-            yield level_of(game.apply(state, action)), ordinal, action
-
 
 class OptimalCop(_OptimalBase):
-    """Positional policy: minimize remaining capture level, then action ordinal."""
+    """Positional policy: minimize remaining capture level, then take the
+    first legal action."""
 
     def __call__(self, game: Game, state: GameState):
         self._check(game)
+        level_of = self.result.level_of
+        options = game.successors(state)
         best = None
-        for lv, ordinal, action in self._scored(game, state):
-            if lv is None:
-                continue
-            if best is None or (lv, ordinal) < best[:2]:
-                best = (lv, ordinal, action)
+        for action, after in options:
+            lv = level_of(after)
+            if lv is not None and (best is None or lv < best[0]):
+                best = (lv, action)
         if best is None:
             # robber-win position: no improving move exists; any legal action
-            return game.legal_actions(state)[0]
-        return best[2]
+            return options[0][0]
+        return best[1]
 
 
 class OptimalRobber(_OptimalBase):
@@ -524,10 +519,12 @@ class OptimalRobber(_OptimalBase):
 
     def __call__(self, game: Game, state: GameState):
         self._check(game)
+        level_of = self.result.level_of
         best = None
-        for lv, ordinal, action in self._scored(game, state):
+        for action, after in game.successors(state):
+            lv = level_of(after)
             if lv is None:
                 return action  # first robber-win successor
             if best is None or lv > best[0]:
-                best = (lv, ordinal, action)
-        return best[2]
+                best = (lv, action)
+        return best[1]

@@ -96,9 +96,9 @@ class StrongPushDagStrategy(Strategy):
     (ignoring the robber), then chase down the DAG.  Requires strong push."""
 
     def __init__(self, og: OrientedGraph):
-        self.target, self.source = _class_dag_target(og.graph, og.ref_bits)
+        self._chase = _class_dag_chase(og.graph, og.ref_bits)
+        self.target, self.source = self._chase.og, self._chase.cop
         self.push_budget = len(push_delta(og, self.target))
-        self._chase: DagChaseStrategy | None = None
         # None, or the path of the trap walk once entered; the push phase and
         # the chase are positional, since the target is the class's
         self.memory: tuple[int, ...] | None = None
@@ -111,24 +111,23 @@ class StrongPushDagStrategy(Strategy):
             self.memory = tuple(og.graph.shortest_path(_cop_pos(state), state.robber))
         if self.memory is not None:
             return trap_walk(game, state, self.memory)
-        pending = push_delta(og, self.target)
-        if pending:
-            return (Push(pending[0]),) + (Stay(),) * (game.variant.cops - 1)
-        if self._chase is None:
-            self._chase = DagChaseStrategy(self.target, self.source)
+        if og.parity != self.target.parity:
+            return (Push(push_delta(og, self.target)[0]),) + (Stay(),) * (game.variant.cops - 1)
         return self._chase(game, state)
 
 
 @functools.lru_cache(maxsize=1)
-def _class_dag_target(graph: UnderlyingGraph, ref_bits: int) -> tuple[OrientedGraph, int | None]:
-    """The push class's normalized single-source DAG and its source.
+def _class_dag_chase(graph: UnderlyingGraph, ref_bits: int) -> DagChaseStrategy:
+    """The chase down the push class's normalized single-source DAG, from its
+    source.
 
-    Every member of a class shares them; callers walk a class member by
-    member, so one cached class serves them all.
+    Every member of a class shares the DAG, and the chase is positional, so
+    one instance serves every member; callers walk a class member by member,
+    so one cached class is enough.
     """
     dag = dag_push_target(OrientedGraph(graph, ref_bits, 0))  # raises NotPushableToDagError
     target = normalize_single_source(dag)[0]
-    return target, single_source(target)
+    return DagChaseStrategy(target, single_source(target))
 
 
 # robber policies

@@ -92,8 +92,7 @@ def worst_robber_lines(cop, members: list[OrientedGraph]) -> dict[int, int]:
         if state.captured:
             return 0
         if state.turn is Turn.ROBBER or state.turn is Turn.ROBBER_PLACEMENT:
-            return max(worst(game.apply(state, a), memory, round_no)
-                       for a in game.legal_actions(state))
+            return max([worst(after, memory, round_no) for _, after in game.successors(state)])
         key = (state.parity, state.cops, state.robber, memory)
         done = memo.get(key, -1)
         if done is None:

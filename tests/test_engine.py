@@ -1,11 +1,14 @@
+import functools
 import hashlib
 import json
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pushcops import engine
 from pushcops.engine import (
     Game,
     GameState,
@@ -24,8 +27,10 @@ from pushcops.engine import (
     play_match,
 )
 from pushcops.errors import BadVariantError, IllegalActionError, IllegalStrategyActionError
+from pushcops.four_regular import FourRegularStrategy
+from pushcops.generators import complete, cycle, enumerate_orientations, path, random_orientation
 from pushcops.graph import OrientedGraph, validate_graph
-from pushcops.solver import OptimalCop, OptimalRobber, solve_game
+from pushcops.solver import Arena, OptimalCop, OptimalRobber, solve_game
 from pushcops.strategies import RandomRobber, Strategy
 
 from conftest import random_oriented, same_orientation
@@ -140,6 +145,22 @@ class TestApply:
         assert nxt.parity == triangle().push(1).parity
 
 
+class TestSuccessors:
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("push", list(PushAbility))
+    @pytest.mark.parametrize("graph", [path(3), cycle(4), complete(4)], ids=["P3", "C4", "K4"])
+    def test_successors_are_apply_of_legal_actions(self, graph, push, k):
+        og = random_orientation(graph, 7)
+        variant = GameVariant(push, k)
+        game = Game(og, variant)
+        captured = 0
+        for state in Arena(og, variant).states():
+            captured += state.captured
+            expect = [(a, game.apply(state, a)) for a in game.legal_actions(state)]
+            assert game.successors(state) == expect
+        assert captured  # the captured states, with no successors, are covered too
+
+
 class TestOrientationCache:
     def test_one_orientation_per_parity(self):
         og = validate_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
@@ -160,6 +181,43 @@ class TestOrientationCache:
                 after = game.pushed(p, v)
                 assert after == og.with_parity(p).push(v)
                 assert after is game.orientation(GameState(after.parity, (0,), 1, Turn.COP))
+
+    def test_shared_cache_follows_class_changes(self):
+        """Games alternating between two push classes of one graph, and
+        between two graphs with equal reference bits, each read their own
+        class's tables."""
+        k4 = complete(4)
+        c6 = cycle(6)
+        games = [Game(OrientedGraph(g, ref), GameVariant(PushAbility.STRONG, 1))
+                 for g, ref in ((k4, 5), (k4, 6), (c6, 5), (c6, 6), (k4, 5))]
+        for _ in range(2):
+            for game in games:
+                for p in range(1 << (game.graph.n - 1)):
+                    fresh = OrientedGraph(game.graph, game.ref_bits, p)._tables[0]
+                    assert [game.out_neighbors(p, v) for v in range(game.graph.n)] == list(fresh)
+
+    def test_class_members_build_each_parity_once(self, monkeypatch):
+        """Playing all 16 members of a K5 class against the optimal robber
+        builds each parity's neighbour tables at most once."""
+        builds: Counter = Counter()
+        build = OrientedGraph._tables.func
+
+        def counted(og):
+            builds[og.parity] += 1
+            return build(og)
+
+        tables = functools.cached_property(counted)
+        tables.__set_name__(OrientedGraph, "_tables")
+        monkeypatch.setattr(OrientedGraph, "_tables", tables)
+        engine._class_orientations.cache_clear()
+        rep = next(enumerate_orientations(complete(5), per_class=True))
+        variant = GameVariant(PushAbility.STRONG, 1)
+        robber = OptimalRobber(solve_game(rep, variant))
+        for p in range(16):
+            member = rep.with_parity(p)
+            trace = play_match(member, FourRegularStrategy(member), robber, variant)
+            assert trace.outcome["type"] == "captured"
+        assert builds and max(builds.values()) == 1
 
 
 class TestRoundLimitAndTrace:

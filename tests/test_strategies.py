@@ -16,6 +16,7 @@ from pushcops.pushdag import (
     single_source,
 )
 from pushcops.solver import OptimalRobber, solve_game
+from pushcops import strategies
 from pushcops.strategies import (
     DagChaseStrategy,
     StayRobber,
@@ -113,3 +114,21 @@ class TestStrongPushDag:
                 assert same_orientation(strategy.target, target)
                 assert strategy.source == single_source(target)
                 assert strategy.push_budget == len(push_delta(member, target))
+
+    def test_class_members_share_one_chase(self, monkeypatch):
+        """All 16 members of a DAG-pushable K5 class, each played against the
+        optimal robber, share one chase and so one set of reach sets."""
+        calls = []
+        monkeypatch.setattr(strategies, "reachable_from",
+                            lambda og, v: calls.append(v) or reachable_from(og, v))
+        strategies._class_dag_chase.cache_clear()
+        rep = next(r for r in enumerate_orientations(complete(5), per_class=True)
+                   if find_dag_push_set(r) is not None)
+        variant = GameVariant(PushAbility.STRONG, 1)
+        robber = OptimalRobber(solve_game(rep, variant))
+        chases = set()
+        for p in range(16):
+            cop = StrongPushDagStrategy(rep.with_parity(p))
+            chases.add(id(cop._chase))
+            assert play_match(rep.with_parity(p), cop, robber, variant).outcome["type"] == "captured"
+        assert len(chases) == 1 and sorted(calls) == list(range(5))
