@@ -37,8 +37,8 @@ from .graph import (
 )
 from .pushdag import (
     dag_push_target,
-    extend_reachability,
     find_dag_push_set,
+    growth_rounds,
     normalize_single_source,
     single_source,
 )
@@ -87,8 +87,8 @@ __all__ = [
     "UnderlyingGraph",
     "cop_numbers",
     "dag_push_target",
-    "extend_reachability",
     "find_dag_push_set",
+    "growth_rounds",
     "is_dag",
     "is_trapped",
     "normalize_single_source",

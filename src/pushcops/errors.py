@@ -47,16 +47,6 @@ class NotADagError(PushcopsError):
     pass
 
 
-class NotASourceError(PushcopsError):
-    def __init__(self, v):
-        super().__init__(f"vertex {v} is not a source")
-        self.vertex = v
-
-
-class AlreadyFullyReachableError(PushcopsError):
-    pass
-
-
 class NotPushableToDagError(PushcopsError):
     pass
 

@@ -2,15 +2,10 @@
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .errors import (
-    AlreadyFullyReachableError,
-    NotADagError,
-    NotASourceError,
-    NotPushableToDagError,
-    TooLargeError,
-)
+from .errors import NotADagError, NotPushableToDagError, TooLargeError
 from .graph import OrientedGraph, is_dag, reachable_from
 
 MAX_SEARCH_VERTICES = 24
@@ -31,40 +26,38 @@ def reachability_partition(og: OrientedGraph, u: int) -> ReachabilityPartition:
     return ReachabilityPartition(u, x, y, boundary)
 
 
-def extend_reachability(og: OrientedGraph, u: int) -> list[int]:
-    """One growth round: push every vertex not yet reachable from source u.
+def growth_rounds(og: OrientedGraph) -> Iterator[tuple[OrientedGraph, ReachabilityPartition]]:
+    """Reachability growth from the lowest source u of the DAG `og`.
 
-    Afterwards the graph is still a DAG with source u, everything previously
-    reachable stays reachable, and every boundary vertex becomes reachable.
+    Yields (orientation, partition around u) before the first round and after
+    each later one; a round pushes every vertex not yet reachable from u, and
+    the rounds stop once u reaches every vertex.  The growth lemma keeps each
+    orientation a DAG with source u, loses no reachable vertex and absorbs the
+    whole boundary every round.
     """
     ok, _ = is_dag(og)
     if not ok:
-        raise NotADagError("extend_reachability requires a DAG")
-    if og.in_degree(u) != 0:
-        raise NotASourceError(u)
-    return _growth_pushes(reachability_partition(og, u))
+        raise NotADagError("reachability growth requires a DAG")
+    u = min(v for v in range(og.n) if og.in_degree(v) == 0)
+    part = reachability_partition(og, u)
+    yield og, part
+    while part.unreachable:
+        og = og.push_many(_growth_pushes(part))
+        part = reachability_partition(og, u)
+        yield og, part
 
 
 def _growth_pushes(part: ReachabilityPartition) -> list[int]:
-    """The push set of `extend_reachability`, read from a DAG's partition
-    around its source `part.source`; the caller has checked both."""
-    if not part.unreachable:
-        raise AlreadyFullyReachableError(f"all vertices already reachable from {part.source}")
+    """The pushes of the growth round that starts at `part`: every vertex not
+    yet reachable, ascending (none once all are reachable)."""
     return sorted(part.unreachable)
 
 
 def normalize_single_source(og: OrientedGraph) -> tuple[OrientedGraph, list[int]]:
     """Push a DAG into a same-class DAG whose unique source is its lowest source."""
-    ok, _ = is_dag(og)
-    if not ok:
-        raise NotADagError("normalize_single_source requires a DAG")
-    u = min(v for v in range(og.n) if og.in_degree(v) == 0)
     seq: list[int] = []
-    current = og
-    while len(reachable_from(current, u)) < og.n:
-        step = extend_reachability(current, u)
-        seq.extend(step)
-        current = current.push_many(step)
+    for current, part in growth_rounds(og):
+        seq.extend(_growth_pushes(part))
     return current, seq
 
 

@@ -117,23 +117,9 @@ class SweepReport:
 
 
 def sweep_row(instance_id: str, family: str, og: OrientedGraph, push: PushAbility, k_max: int):
-    row = {
-        "instance_id": instance_id,
-        "family": family,
-        "n": og.n,
-        "m": og.m,
-        "class_index": og.parity,
-        "variant": push.value,
-        "k": k_max,
-        "verdict": "",
-        "cop_number": "",
-        "capture_rounds": "",
-        "states": 0,
-        "iterations": "",
-        "max_level": "",
-        "runtime_ms": 0,
-        "error": "",
-    }
+    row = dict.fromkeys(CSV_HEADER, "")
+    row.update(instance_id=instance_id, family=family, n=og.n, m=og.m, class_index=og.parity,
+               variant=push.value, k=k_max, states=0, runtime_ms=0)
     started = time.perf_counter()
     try:
         for k in range(1, k_max + 1):

@@ -17,6 +17,8 @@ from .errors import (
     IllegalActionError,
     IllegalStrategyActionError,
     InternalInvariantViolation,
+    NotADagError,
+    NotPushableToDagError,
 )
 from .four_regular import FourRegularStrategy
 from .generators import (
@@ -34,7 +36,7 @@ from .graph import (
     serialize_arcs,
     validate_graph,
 )
-from .pushdag import _growth_pushes, find_dag_push_set, push_delta, reachability_partition
+from .pushdag import find_dag_push_set, growth_rounds, push_delta
 from .solver import cop_numbers, solve_game
 from .strategies import StayRobber, StrongPushDagStrategy, TrapCaptureStrategy
 
@@ -126,7 +128,10 @@ def suite_theorem_dag(max_n: int = 5) -> SuiteResult:
     excess_by_n: dict[int, int] = {}
     for g in _connected_graphs(max_n):
         for rep in enumerate_orientations(g, per_class=True):
-            if find_dag_push_set(rep) is None:
+            try:
+                # its target is the class's, so it serves every member
+                cop = StrongPushDagStrategy(rep)
+            except NotPushableToDagError:
                 continue
             members = []
             solved = solve_game(rep, STRONG_1)
@@ -135,7 +140,6 @@ def suite_theorem_dag(max_n: int = 5) -> SuiteResult:
                 if not win:
                     res.fail("solver says robber-win on a DAG-pushable orientation", members[-1])
             res.checked += len(members)
-            cop = StrongPushDagStrategy(rep)  # its target is the class's: it serves every member
             try:
                 rounds = worst_robber_lines(cop, members)
             except (InternalInvariantViolation, IllegalStrategyActionError) as exc:
@@ -227,41 +231,35 @@ def suite_strategy_4regular(max_n: int = 5) -> SuiteResult:
 
 
 def suite_pushdag_props(max_n: int = 5) -> SuiteResult:
-    """On every DAG orientation: one reachability-growth round keeps the DAG
+    """On every DAG orientation, each of `growth_rounds`' rounds keeps the DAG
     and its source, loses no reachable vertex, and absorbs the whole boundary;
     full normalization needs at most n-1 rounds."""
     res = SuiteResult("pushdag-props")
     for g in _connected_graphs(max_n):
         for og in enumerate_orientations(g):
-            if not is_dag(og)[0]:
+            rounds = growth_rounds(og)
+            try:
+                _, part = next(rounds)
+            except NotADagError:
                 continue
             res.checked += 1
-            u = min(v for v in range(g.n) if og.in_degree(v) == 0)
-            current = og
-            part = reachability_partition(current, u)
-            rounds = 0
-            while part.unreachable:
-                rounds += 1
-                if rounds > g.n - 1:
+            for number, (current, grown) in enumerate(rounds, 1):
+                if number > g.n - 1:
                     res.fail("normalization exceeded n-1 growth rounds", og)
                     break
-                # `current` is a DAG with source u: checked above or by the last round
-                nxt = current.push_many(_growth_pushes(part))
-                ok, _ = is_dag(nxt)
-                if not ok:
+                if not is_dag(current)[0]:
                     res.fail("growth round broke acyclicity", og)
                     break
-                if nxt.in_degree(u) != 0:
+                if current.in_degree(part.source) != 0:
                     res.fail("growth round destroyed the source", og)
                     break
-                grown = reachability_partition(nxt, u)
                 if not part.reachable <= grown.reachable:
                     res.fail("growth round lost a reachable vertex", og)
                     break
                 if not part.boundary <= grown.reachable:
                     res.fail("growth round missed a boundary vertex", og)
                     break
-                current, part = nxt, grown
+                part = grown
     return res
 
 
@@ -363,27 +361,18 @@ def check_directed_cycles() -> SuiteResult:
     return res
 
 
-def k4_class_partition() -> tuple[list[int], list[int]]:
-    """Push classes of K4 split by whether the class contains a DAG.
-
-    Returns (pushable class ids, non-pushable class ids) under the spanning
-    tree representative numbering.
-    """
-    pushable, blocked = [], []
-    for i, rep in enumerate(enumerate_orientations(complete(4), per_class=True)):
-        (pushable if find_dag_push_set(rep) is not None else blocked).append(i)
-    return pushable, blocked
-
-
 def check_k4_obstruction() -> SuiteResult:
+    """K4's 8 push classes split 6 DAG-pushable to 2 non-pushable."""
     res = SuiteResult("k4-obstruction")
-    pushable, blocked = k4_class_partition()
-    res.checked = len(pushable) + len(blocked)
-    res.findings.append(
-        f"K4 has {len(pushable)} DAG-pushable and {len(blocked)} non-pushable push classes"
-    )
-    if res.checked != 8:
-        res.fail(f"K4 should have exactly 8 push classes, found {res.checked}")
+    reps = list(enumerate_orientations(complete(4), per_class=True))
+    blocked = sum(find_dag_push_set(rep) is None for rep in reps)
+    res.checked = len(reps)
+    split = (res.checked - blocked, blocked)
+    res.findings.append(f"K4 has {split[0]} DAG-pushable and {blocked} non-pushable push classes")
+    # frozen by brute force; 2 matches the premise that exactly two
+    # orientation classes of K4 obstruct pushing to a DAG
+    if split != (6, 2):
+        res.fail(f"K4 should split 6 DAG-pushable / 2 non-pushable push classes, found {split}")
     return res
 
 

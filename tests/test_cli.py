@@ -238,10 +238,7 @@ class TestVerify:
         assert main(["verify", "trap", "--max-n", "1"]) == 1
         assert "max_n >= 2" in capsys.readouterr().err
 
-    def test_small_suite_passes(self, capsys):
-        assert main(["verify", "monotonic", "--max-n", "3"]) == 0
-        assert "monotonic: pass" in capsys.readouterr().out
-
-    def test_open_problem_suite_is_named(self, capsys):
-        assert main(["verify", "open-problem", "--max-n", "3"]) == 0
-        assert "open-problem-sweep: pass (23 checks)" in capsys.readouterr().out
+    @pytest.mark.parametrize("name", verify.SUITES)
+    def test_every_suite_passes(self, name, capsys):
+        assert main(["verify", name, "--max-n", "3"]) == 0
+        assert ": pass (" in capsys.readouterr().out

@@ -1,18 +1,12 @@
 import pytest
 
-from pushcops.errors import (
-    AlreadyFullyReachableError,
-    NotADagError,
-    NotASourceError,
-    NotPushableToDagError,
-    TooLargeError,
-)
+from pushcops.errors import NotADagError, NotPushableToDagError, TooLargeError
 from pushcops.generators import complete, enumerate_orientations, path
 from pushcops.graph import OrientedGraph, is_dag, reachable_from, validate_graph
 from pushcops.pushdag import (
     dag_push_target,
-    extend_reachability,
     find_dag_push_set,
+    growth_rounds,
     normalize_single_source,
     reachability_partition,
     single_source,
@@ -68,26 +62,36 @@ class TestReachabilityGrowth:
 
     def test_requires_dag(self):
         with pytest.raises(NotADagError):
-            extend_reachability(triangle(), 0)
+            next(growth_rounds(triangle()))
 
-    def test_requires_source(self):
-        og = validate_graph(3, [(0, 1), (0, 2), (1, 2)])
-        with pytest.raises(NotASourceError):
-            extend_reachability(og, 1)
-
-    def test_fully_reachable_rejected(self):
-        og = validate_graph(3, [(0, 1), (0, 2), (1, 2)])
-        with pytest.raises(AlreadyFullyReachableError):
-            extend_reachability(og, 0)
+    def test_first_round_is_the_partition_around_the_lowest_source(self):
+        og = validate_graph(4, [(1, 0), (2, 0), (2, 3), (3, 0)])
+        first, part = next(growth_rounds(og))
+        assert first is og
+        assert part == reachability_partition(og, 1)  # sources 1 and 2
 
     def test_growth_round_postconditions(self):
         og = validate_graph(4, [(0, 1), (2, 1), (2, 3), (3, 1)])
-        pushes = extend_reachability(og, 0)
-        assert pushes == [2, 3]
-        after = og.push_many(pushes)
+        (_, before), (after, part) = growth_rounds(og)
+        assert sorted(before.unreachable) == [2, 3]
+        assert after == og.push_many([2, 3])
         assert is_dag(after)[0]
         assert after.in_degree(0) == 0
-        assert reachable_from(after, 0) >= {0, 1, 2, 3}
+        assert part.reachable == {0, 1, 2, 3}
+
+    def test_rounds_apply_the_normalization_pushes(self):
+        for og in enumerate_orientations(complete(4)):
+            if not is_dag(og)[0]:
+                continue
+            rounds = list(growth_rounds(og))
+            dag, seq = normalize_single_source(og)
+            applied = []
+            for (before, part), (after, _) in zip(rounds, rounds[1:]):
+                pushes = sorted(part.unreachable)
+                assert before.push_many(pushes) == after
+                applied += pushes
+            assert applied == seq
+            assert rounds[-1][0] == dag
 
     def test_normalize_single_source(self):
         og = validate_graph(4, [(0, 1), (2, 1), (2, 3), (3, 1)])

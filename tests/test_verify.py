@@ -1,6 +1,8 @@
+import sys
+
 import pytest
 
-from pushcops import verify
+from pushcops import pushdag, strategies, verify
 from pushcops.engine import MoveTo, PushAbility, Turn
 from pushcops.errors import InternalInvariantViolation
 from pushcops.four_regular import FourRegularStrategy
@@ -15,6 +17,22 @@ class TestTheoremDag:
         assert not res.passed
         assert res.failures[0] == "worst robber line took 0 rounds, under the solver optimum 9"
         assert res.repro.n == 1
+
+    def test_scans_each_push_class_once(self, monkeypatch):
+        real = pushdag.find_dag_push_set
+        calls = []
+
+        def counting(og):
+            calls.append(og)
+            return real(og)
+
+        # every pushcops module that holds find_dag_push_set
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("pushcops") and getattr(mod, "find_dag_push_set", None) is real:
+                monkeypatch.setattr(mod, "find_dag_push_set", counting)
+        strategies._class_dag_chase.cache_clear()
+        assert verify.suite_theorem_dag(max_n=4).passed
+        assert len(calls) == 85  # the push classes of the connected graphs on at most 4 vertices
 
 
 class TestOneCopSuites:
@@ -37,8 +55,8 @@ class TestOneCopSuites:
 
 class TestPushdagProps:
     def test_checks_the_library_growth_round(self, monkeypatch):
-        real = verify._growth_pushes
-        monkeypatch.setattr(verify, "_growth_pushes", lambda part: real(part)[:-1])
+        real = pushdag._growth_pushes
+        monkeypatch.setattr(pushdag, "_growth_pushes", lambda part: real(part)[:-1])
         assert not verify.suite_pushdag_props(max_n=3).passed
 
 
