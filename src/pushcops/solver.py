@@ -9,10 +9,11 @@ time in half-moves.
 
 from __future__ import annotations
 
+import functools
 import itertools
-import math
 from dataclasses import dataclass, field
 from time import perf_counter
+from types import MappingProxyType
 from typing import Iterator
 
 from .errors import QueriedOnWrongArenaError, TooLargeError
@@ -20,16 +21,18 @@ from .engine import Game, GameState, GameVariant, PushAbility, Turn
 from .graph import OrientedGraph, parity_bit
 
 # Memory budget of one solve.  Its peak is one bit per layout position in
-# every full-width bitset it holds at once: BitLayout's masks (see
+# every full-width bitset it holds at once: the layout's masks (see
 # `solve_bytes`) plus the fixpoint's working set and level planes.  Over 13
 # tracemalloc-measured solves the second part was 21-32 bitsets (32 with
 # 31 rounds), so `solve_bytes` allows 40.  Per arena state that measured
-# 3.3 B/state on C11(1,2) with strong push and 1 cop (247,820 states),
-# 4.2 on C10(1,2) with weak push, 3.5 on Q4 with strong push (16.8 M
-# states), 6.4 for 2 strong-push cops on C7(1,2), 8.2 for 2 weak-push cops
-# on Q3 and 23.6 for 3 strong-push cops on K7; it grows with the cop count,
+# 3.4 B/state on C11(1,2) with strong push and 1 cop (247,820 states),
+# 4.3 on C10(1,2) with weak push, 3.6 on Q4 with strong push (16.8 M
+# states), 6.6 for 2 strong-push cops on C7(1,2), 8.4 for 2 weak-push cops
+# on Q3 and 24.1 for 3 strong-push cops on K7; it grows with the cop count,
 # since every bitset also covers the unsorted cop tuples (111 B/state for 4
 # cops on K8, 326 for 5 weak-push cops on K6), so no state count bounds it.
+# Between solves the one cached `_frame` keeps the masks no arc changes:
+# the parity flips, cop swaps and weak-push cop positions, and up to k + 4 more.
 MEMORY_BUDGET = 2 * 10**9
 
 
@@ -47,56 +50,6 @@ def solve_bytes(og: OrientedGraph, variant: GameVariant) -> int:
     return blocks * n ** (k + 1) * held // 8
 
 
-def _tuple_index(cfg: tuple[int, ...], n: int) -> int:
-    """An ordered cop tuple read as base-n digits, cop 0 most significant."""
-    i = 0
-    for c in cfg:
-        i = i * n + c
-    return i
-
-
-class Arena:
-    """The states of one (push class, variant) game and their bit positions."""
-
-    def __init__(self, og: OrientedGraph, variant: GameVariant):
-        self.graph = og.graph
-        self.ref_bits = og.ref_bits
-        self.initial_parity = og.parity
-        self.variant = variant
-        n = self.graph.n
-        need = solve_bytes(og, variant)
-        if need > MEMORY_BUDGET:
-            budget = MEMORY_BUDGET // 10**6
-            raise TooLargeError(f"solve would need about {need // 10**6} MB (budget {budget} MB)", need)
-        n_par = 1 if variant.push is PushAbility.NONE else 1 << max(n - 1, 0)
-        n_cfg = math.comb(n + variant.cops - 1, variant.cops)
-        total = n_par * n_cfg * n * 2 + 1 + n_cfg
-        if variant.push is PushAbility.NONE:
-            self.parities = [og.parity]
-        else:
-            self.parities = list(range(n_par))
-        self.par_index = {p: i for i, p in enumerate(self.parities)}
-        self.cfgs = list(itertools.combinations_with_replacement(range(n), variant.cops))
-        self.cfg_index = {c: i for i, c in enumerate(self.cfgs)}
-        # bit positions of the level planes: (parity block, ordered tuple, robber)
-        self.block = n ** (variant.cops + 1)  # bits per parity block
-        self.tuple_at = {c: _tuple_index(c, n) for c in self.cfgs}
-        self.total = total
-
-    def states(self) -> Iterator[GameState]:
-        """Every arena state: the cop-placement root, one robber placement per
-        cop configuration, then the play states."""
-        p0 = self.initial_parity
-        yield GameState(p0, None, None, Turn.COP_PLACEMENT)
-        for cfg in self.cfgs:
-            yield GameState(p0, cfg, None, Turn.ROBBER_PLACEMENT)
-        for p in self.parities:
-            for cfg in self.cfgs:
-                for r in range(self.graph.n):
-                    yield GameState(p, cfg, r, Turn.COP)
-                    yield GameState(p, cfg, r, Turn.ROBBER)
-
-
 def _tile(unit: int, width: int, count: int) -> int:
     """`count` copies of the `width`-bit pattern `unit`, side by side."""
     out = 0
@@ -111,18 +64,111 @@ def _tile(unit: int, width: int, count: int) -> int:
     return out
 
 
-def _pull(x: int, d: int) -> int:
-    """Bit q of the result is bit q + d of x."""
-    return x >> d if d >= 0 else x << -d
+class _Frame:
+    """The part of an arena and its bit layout that no arc changes: it
+    depends on (n, k, push) only, and under PushAbility.NONE on the parity.
+    Solves share it, so it holds ints, tuples and read-only mappings, and no
+    per-vertex masks but the weak-push `cop_at` that `solve_bytes` counts."""
+
+    def __init__(self, n: int, k: int, push: PushAbility, parity: int | None):
+        blocks = 1 if push is PushAbility.NONE else 1 << max(n - 1, 0)
+        self.parities = (parity,) if push is PushAbility.NONE else tuple(range(blocks))
+        self.par_index = MappingProxyType({p: i for i, p in enumerate(self.parities)})
+        self.cfgs = tuple(itertools.combinations_with_replacement(range(n), k))
+        self.cfg_index = MappingProxyType({c: i for i, c in enumerate(self.cfgs)})
+        # an ordered cop tuple read as base-n digits, cop 0 most significant
+        self.tuple_at = MappingProxyType(
+            {c: functools.reduce(lambda i, x: i * n + x, c, 0) for c in self.cfgs})
+        self.block = n ** (k + 1)  # bits per parity block
+        self.total = blocks * len(self.cfgs) * n * 2 + 1 + len(self.cfgs)
+        self.size = size = blocks * self.block
+        self.full = full = (1 << size) - 1
+        # low[v]: positions whose parity gives vertex v push-parity 0
+        low = [0 if parity_bit(self.parities[0], v) else full for v in range(n)]
+        if blocks > 1:
+            runs = [(1 << t) * self.block for t in range(n - 1)]
+            low = [full, *(_tile((1 << r) - 1, 2 * r, size // (2 * r)) for r in runs)]
+        self.low = tuple(low)
+        # (shift, bit-t-clear mask) swapping the parity blocks of each bit t
+        self.flips = tuple(zip(runs, low[1:])) if blocks > 1 else ()
+        # cop j steps by n**(k-1-j) tuple positions, each n bits wide
+        cop_w = [n ** (k - j) for j in range(k)]
+        self.widths = (1, *cop_w)  # robber, then each cop
+        # at0[i]: mover i (robber, then each cop) on vertex 0
+        self.at0 = tuple(_tile((1 << w) - 1, n * w, size // (n * w)) for w in self.widths)
+        # the robber on some cop's vertex, in one block and then in every block
+        one = [x & ((1 << self.block) - 1) for x in self.at0]
+        hit = 0
+        for a in range(n):
+            for x, w in zip(one[1:], cop_w):
+                hit |= x << a * w & one[0] << a
+        self.capture = _tile(hit, self.block, blocks)
+        self.cop_at = tuple(tuple(x << a * w for a in range(n)) if push is PushAbility.WEAK else ()
+                            for x, w in zip(self.at0[1:], cop_w))  # per cop and vertex
+        # with k >= 2, cop_pre keeps the sorted cop tuples, then copies them
+        # to every ordering by swapping adjacent cops along a reduced word of
+        # the longest permutation (subword property)
+        unit = 0
+        for c in self.tuple_at.values():
+            unit |= ((1 << n) - 1) << (c * n)
+        self.keep = _tile(unit, self.block, blocks) if k >= 2 else full
+        swaps = []
+        for i in range(k - 1):
+            for j in range(i, -1, -1):
+                # cop j on a and cop j + 1 on a + d: a run of w bits at digit
+                # pair (a, a + d) of each period of n * n * w bits
+                w, period = cop_w[j + 1], n * cop_w[j]
+                for d in range(1, n):
+                    unit = 0
+                    for a in range(n - d):
+                        unit |= ((1 << w) - 1) << (a * (n + 1) + d) * w
+                    swaps.append((d * (cop_w[j] - w), _tile(unit, period, size // period)))
+        self.swaps = tuple(swaps)
 
 
-def read_level(planes: list[bytes], pos: int) -> int | None:
-    """The level at bit `pos` of little-endian planes holding bit b of level + 1."""
-    i, s = pos >> 3, pos & 7
-    v = 0
-    for row in reversed(planes):
-        v = v << 1 | (row[i] >> s & 1)
-    return v - 1 if v else None
+@functools.lru_cache(maxsize=1)
+def _frame(n: int, k: int, push: PushAbility, parity: int | None) -> _Frame:
+    """The one cached frame, so no other key's masks outlive the next set-up."""
+    return _Frame(n, k, push, parity)
+
+
+class Arena:
+    """The states of one (push class, variant) game and their bit positions."""
+
+    def __init__(self, og: OrientedGraph, variant: GameVariant):
+        self.graph = og.graph
+        self.ref_bits = og.ref_bits
+        self.initial_parity = og.parity
+        self.variant = variant
+        need = solve_bytes(og, variant)
+        if need > MEMORY_BUDGET:
+            budget = MEMORY_BUDGET // 10**6
+            raise TooLargeError(f"solve would need about {need // 10**6} MB (budget {budget} MB)", need)
+        frame = self.frame()
+        self.parities, self.par_index = frame.parities, frame.par_index
+        self.cfgs, self.cfg_index = frame.cfgs, frame.cfg_index
+        # bit positions of the level planes: (parity block, ordered tuple, robber)
+        self.block, self.tuple_at, self.total = frame.block, frame.tuple_at, frame.total
+
+    def frame(self) -> _Frame:
+        """This arena's shared frame, looked up and not kept: a result holds
+        its arena, and should hold none of the frame's masks."""
+        push = self.variant.push
+        parity = self.initial_parity if push is PushAbility.NONE else None
+        return _frame(self.graph.n, self.variant.cops, push, parity)
+
+    def states(self) -> Iterator[GameState]:
+        """Every arena state: the cop-placement root, one robber placement per
+        cop configuration, then the play states."""
+        p0 = self.initial_parity
+        yield GameState(p0, None, None, Turn.COP_PLACEMENT)
+        for cfg in self.cfgs:
+            yield GameState(p0, cfg, None, Turn.ROBBER_PLACEMENT)
+        for p in self.parities:
+            for cfg in self.cfgs:
+                for r in range(self.graph.n):
+                    yield GameState(p, cfg, r, Turn.COP)
+                    yield GameState(p, cfg, r, Turn.ROBBER)
 
 
 def _read_bits(row: bytes, start: int, width: int) -> int:
@@ -139,116 +185,83 @@ class BitLayout:
     a -> b, for every position at once, is a pull by (b - a) times the
     mover's digit width, masked by "mover on a and the arc present in this
     parity".  Arcs with the same offset share one shift, so each mover keeps
-    one OR-ed mask per vertex offset; a push swaps parity blocks.
+    one OR-ed mask per vertex offset; a push swaps parity blocks.  Only these
+    move masks depend on the push class; the rest is the arena's `frame`.
     """
 
     def __init__(self, arena: Arena):
-        n, k = arena.graph.n, arena.variant.cops
-        self.n = n
-        self.k = k
-        self.ability = arena.variant.push
-        self.blocks = len(arena.parities)
-        self.size = self.blocks * arena.block
-        self.full = (1 << self.size) - 1
-        # low[v]: positions whose parity gives vertex v push-parity 0
-        if self.blocks == 1:
-            low = [0 if parity_bit(arena.parities[0], v) else self.full for v in range(n)]
-            self._flips: list[tuple[int, int]] = []
-        else:
-            low = [self.full]
-            for t in range(n - 1):
-                run = (1 << t) * arena.block
-                low.append(_tile((1 << run) - 1, 2 * run, self.blocks >> (t + 1)))
-            # bit-t-clear masks for swapping parity blocks
-            self._flips = [((1 << t) * arena.block, low[t + 1]) for t in range(n - 1)]
-
-        def arc(a: int, b: int) -> int:
-            e = arena.graph.edge_index(a, b)
-            flipped = low[a] ^ low[b]
-            return flipped if ((arena.ref_bits >> e) & 1) ^ (a > b) else self.full ^ flipped
-
-        # cop j steps by n**(k-1-j) tuple positions, each n bits wide
-        cop_w = [n ** (k - j) for j in range(k)]
-        widths = [1, *cop_w]  # robber, then each cop
-        at0 = [_tile((1 << w) - 1, n * w, self.size // (n * w)) for w in widths]
-        moves: list[dict[int, int]] = [{} for _ in widths]
-        weak = self.ability is PushAbility.WEAK
-        self.cop_at: list[list[int]] = [[] for _ in range(k)] if weak else []
-        hit = 0
-        for a in range(n):
-            at = [x << a * w for x, w in zip(at0, widths)]
-            for j, cop in enumerate(at[1:]):
-                hit |= cop & at[0]
-                if weak:
-                    self.cop_at[j].append(cop)
-            for b in arena.graph.adj[a]:
-                m = arc(a, b)
-                for acc, x, w in zip(moves, at, widths):
-                    d = (b - a) * w
-                    acc[d] = acc.get(d, 0) | (x & m)
-        self._capture = hit
-        self.robber_moves = list(moves[0].items())
-        self.cop_moves = [list(acc.items()) for acc in moves[1:]]
-        # with k >= 2, cop_pre keeps the sorted cop tuples, then copies them
-        # to every ordering by swapping adjacent cops along a reduced word of
-        # the longest permutation (subword property)
-        self._keep = self.full
-        if k >= 2:
-            unit = 0
-            for c in arena.tuple_at.values():
-                unit |= ((1 << n) - 1) << (c * n)
-            self._keep = _tile(unit, arena.block, self.blocks)
-        self._swaps: list[tuple[int, int]] = []
-        for i in range(k - 1):
-            for j in range(i, -1, -1):
-                # cop j on a and cop j + 1 on a + d: a run of w bits at digit
-                # pair (a, a + d) of each period of n * n * w bits
-                w, period = cop_w[j + 1], n * cop_w[j]
-                for d in range(1, n):
-                    unit = 0
-                    for a in range(n - d):
-                        unit |= ((1 << w) - 1) << (a * (n + 1) + d) * w
-                    m = _tile(unit, period, self.size // period)
-                    self._swaps.append((d * (cop_w[j] - w), m))
-
-    def push(self, x: int, v: int) -> int:
-        """The bitset pulled back through a push of vertex v."""
-        for s, low in self._flips if v == 0 else self._flips[v - 1:v]:
-            x = ((x & low) << s) | ((x >> s) & low)
-        return x
+        self.frame = f = arena.frame()
+        self.k, self.ability = arena.variant.cops, arena.variant.push
+        low, full, ref = f.low, f.full, arena.ref_bits
+        # per mover, the moves to a higher vertex (pulls by d > 0, right
+        # shifts) and to a lower one (pulls by -d, left shifts), keyed by d
+        ups: list[dict[int, int]] = [{} for _ in f.widths]
+        downs: list[dict[int, int]] = [{} for _ in f.widths]
+        for e, (u, v) in enumerate(arena.graph.edges):
+            # arc u -> v (u < v) where reference bit e and the parity flips of
+            # u and v leave it, v -> u elsewhere
+            flipped = low[u] ^ low[v]
+            ahead = flipped if ref >> e & 1 else full ^ flipped
+            for up, down, x, w in zip(ups, downs, f.at0, f.widths):
+                d = (v - u) * w
+                x <<= u * w
+                y = x & ahead
+                up[d] = up.get(d, 0) | y
+                down[d] = down.get(d, 0) | (x ^ y)  # still the mover on u
+        for down in downs:  # to the mover on v: blocks hold whole digits, so
+            for d in down:  # the lane shift stays in the block
+                down[d] <<= d
+        moves = [(list(up.items()), list(down.items())) for up, down in zip(ups, downs)]
+        self.robber_moves, self.cop_moves = moves[0], moves[1:]
 
     def capture(self) -> int:
         """Positions with the robber on some cop's vertex."""
-        return self._capture
+        return self.frame.capture
 
     def robber_pre(self, won: int) -> int:
         """Positions where the robber, to move, can only stay or move into `won`."""
-        lost = self.full ^ won
+        lost = self.frame.full ^ won
         escape = 0
-        for d, m in self.robber_moves:
-            escape |= m & _pull(lost, d)
+        right, left = self.robber_moves
+        for d, m in right:
+            escape |= m & (lost >> d)
+        for d, m in left:
+            escape |= m & (lost << d)
         return won & ~escape
 
     def cop_pre(self, won: int) -> int:
         """Positions where the cops, to act, can reach `won` by one action each.
 
         The cops act one at a time in sorted order, so this pulls back from
-        the last cop to the first: each can stay, move or push.  With k >= 2
+        the last cop to the first: each can stay, move or push.  Pushing
+        vertex v > 0 swaps the parity blocks of flip v - 1; pushing vertex 0
+        flips every parity bit, so it composes all the flips.  With k >= 2
         only the sorted tuples are kept and then copied to their permutations.
         """
+        f = self.frame
         for j in reversed(range(self.k)):
             out = won
-            for d, m in self.cop_moves[j]:
-                out |= m & _pull(won, d)
+            right, left = self.cop_moves[j]
+            for d, m in right:
+                out |= m & (won >> d)
+            for d, m in left:
+                out |= m & (won << d)
             if self.ability is PushAbility.STRONG:
-                for v in range(self.n):
-                    out |= self.push(won, v)
+                every = won
+                for s, low in f.flips:
+                    out |= ((won & low) << s) | ((won >> s) & low)
+                    every = ((every & low) << s) | ((every >> s) & low)
+                out |= every
             elif self.ability is PushAbility.WEAK:
-                for v in range(self.n):
-                    out |= self.cop_at[j][v] & self.push(won, v)
+                at = f.cop_at[j]
+                every = won
+                for v, (s, low) in enumerate(f.flips, 1):
+                    out |= at[v] & (((won & low) << s) | ((won >> s) & low))
+                    every = ((every & low) << s) | ((every >> s) & low)
+                out |= at[0] & every
             won = out
-        won &= self._keep
-        for s, m in self._swaps:
+        won &= f.keep
+        for s, m in f.swaps:
             won |= ((won & m) << s) | ((won >> s) & m)
         return won
 
@@ -270,67 +283,49 @@ def fixpoint(layout: BitLayout) -> tuple[tuple[list[bytes], list[bytes]], int]:
     are monotone in their input, so an input unchanged since the side's last
     evaluation gives back a set already OR-ed into the side's won set.
     """
-    planes: tuple[list[int], list[int]] = ([], [])
-
-    def record(t: int, new: int, value: int) -> None:
-        if not new:
-            return
-        p = planes[t]
-        b = 0
-        while value:
-            if value & 1:
-                while len(p) <= b:
-                    p.append(0)
-                p[b] |= new
-            value >>= 1
-            b += 1
-
     target = layout.capture()
     won_cop = won_robber = target
-    record(0, target, 1)
-    record(1, target, 1)
+    planes: tuple[list[int], list[int]] = ([target], [target])  # level 0 is value 1
     rounds = 0
     new_cop = new_robber = True  # round 1 evaluates both sides
-    while True:
+    while new_cop or new_robber:
         rounds += 1
         new_cop, new_robber = (
             layout.cop_pre(won_robber) & ~won_cop if new_robber else 0,
             layout.robber_pre(won_cop) & ~won_robber if new_cop else 0,
         )
-        if not (new_cop or new_robber):
-            break
         won_cop |= new_cop
         won_robber |= new_robber
-        record(0, new_cop, rounds + 1)
-        record(1, new_robber, rounds + 1)
-    nbytes = (layout.size + 7) // 8
-    return ([x.to_bytes(nbytes, "little") for x in planes[0]],
-            [x.to_bytes(nbytes, "little") for x in planes[1]]), rounds
-
-
-def _highest(planes: list[int], ties: int) -> int:
-    """Highest level + 1 over the positions set in `ties` (0 if none is reached)."""
-    v = 0
-    for b in reversed(range(len(planes))):
-        hit = planes[b] & ties
-        if hit:
-            ties = hit  # keep the positions that still tie for the top
-            v |= 1 << b
-    return v
+        value = rounds + 1
+        for rows, new in ((planes[0], new_cop), (planes[1], new_robber)):
+            if new:  # as many planes as the highest labelled level needs
+                if len(rows) < value.bit_length():
+                    rows += [0] * (value.bit_length() - len(rows))
+                b, x = 0, value
+                while x:
+                    if x & 1:
+                        rows[b] |= new
+                    b, x = b + 1, x >> 1
+    nbytes = (layout.frame.size + 7) // 8
+    return tuple([x.to_bytes(nbytes, "little") for x in rows] for rows in planes), rounds
 
 
 def _worst_replies(arena: Arena, turn0: list[bytes], pi: int) -> list[int | None]:
     """Per cop configuration at parity block `pi`, cops to move: the highest
     level over robber vertices, or None if some robber vertex is unreached."""
-    n = arena.graph.n
-    bits = [_read_bits(row, pi * arena.block, arena.block) for row in turn0]
+    n, block = arena.graph.n, arena.block
+    bits = [_read_bits(row, pi * block, block) for row in reversed(turn0)]
     reached = 0
     for x in bits:
         reached |= x
     out: list[int | None] = []
-    for cfg in arena.cfgs:
-        lanes = ((1 << n) - 1) << arena.tuple_at[cfg] * n
-        out.append(_highest(bits, lanes) - 1 if reached & lanes == lanes else None)
+    for c in arena.tuple_at.values():
+        lanes = ties = ((1 << n) - 1) << c * n
+        v = 0
+        for x in bits:  # from the top plane down, keep the robber vertices still tied
+            hit = x & ties
+            v, ties = v << 1 | (hit != 0), hit or ties
+        out.append(v - 1 if reached & lanes == lanes else None)
     return out
 
 
@@ -353,15 +348,28 @@ class SolveResult:
     phase_s: dict[str, float] = field(compare=False)
 
     def level_of(self, state: GameState) -> int | None:
-        """Capture level of one state, or None if it is a robber win."""
-        arena = self.arena
-        if state.turn is Turn.COP_PLACEMENT:
+        """Capture level of one state, or None if it is a robber win.
+
+        Raises QueriedOnWrongArenaError for a state outside the arena: a
+        parity, cop tuple (unsorted ones included) or robber vertex it lacks.
+        """
+        arena, turn = self.arena, state.turn
+        if turn is Turn.COP_PLACEMENT:
             return self.placed[0]
-        if state.turn is Turn.ROBBER_PLACEMENT:
+        if turn is Turn.ROBBER_PLACEMENT and state.cops in arena.cfg_index:
             return self.placed[1 + arena.cfg_index[state.cops]]
-        pi = self._block(state.parity)
-        pos = pi * arena.block + arena.tuple_at[state.cops] * arena.graph.n + state.robber
-        return read_level(self.planes[state.turn is Turn.ROBBER], pos)
+        pi = arena.par_index.get(state.parity)
+        c = arena.tuple_at.get(state.cops)
+        n, r = arena.graph.n, state.robber
+        if pi is None or c is None or not 0 <= r < n:
+            raise QueriedOnWrongArenaError(f"{state} not in arena")
+        pos = pi * arena.block + c * n + r
+        # bit pos of each plane, read from the top plane down
+        i, s = pos >> 3, pos & 7
+        v = 0
+        for row in reversed(self.planes[turn is Turn.ROBBER]):
+            v = v << 1 | (row[i] >> s & 1)
+        return v - 1 if v else None
 
     @property
     def level(self) -> list[int | None]:
@@ -370,10 +378,14 @@ class SolveResult:
 
     @property
     def max_level(self) -> int:
-        """Highest capture level of any cop-win state."""
-        play = [_highest([int.from_bytes(x, "little") for x in planes], -1) - 1
-                for planes in self.planes]
-        return max(*play, *(lv for lv in self.placed if lv is not None))
+        """Highest capture level of any cop-win state.
+
+        Fixpoint round L labels level L and every round but the last adds
+        positions, so the highest play level is iterations - 1; it is 0 when
+        round 1 adds nothing and only the capture positions are reached.  The
+        placement chain can add up to two levels above it.
+        """
+        return max(self.iterations - 1, 0, *(lv for lv in self.placed if lv is not None))
 
     @property
     def root_win(self) -> bool:
@@ -386,12 +398,6 @@ class SolveResult:
         if root_level is None:
             return None
         return (root_level - 2 + 1) // 2
-
-    def _block(self, parity: int) -> int:
-        pi = self.arena.par_index.get(parity)
-        if pi is None:
-            raise QueriedOnWrongArenaError(f"parity {parity} not in arena")
-        return pi
 
     def member_wins(self) -> dict[int, bool]:
         """Verdict per arena parity if play had started there (same push class).
@@ -420,7 +426,10 @@ class SolveResult:
 
     def member_rounds(self, parity: int) -> int | None:
         """Optimal capture rounds from this parity, or None if robber-win."""
-        worst = _worst_replies(self.arena, self.planes[0], self._block(parity))
+        pi = self.arena.par_index.get(parity)
+        if pi is None:
+            raise QueriedOnWrongArenaError(f"parity {parity} not in arena")
+        worst = _worst_replies(self.arena, self.planes[0], pi)
         wins = [lv for lv in worst if lv is not None]
         return (min(wins) + 1) // 2 if wins else None
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from pushcops import solver
 from pushcops.engine import Game, GameState, GameVariant, PushAbility, Turn, play_match
 from pushcops.errors import QueriedOnWrongArenaError, TooLargeError
 from pushcops.generators import circulant, complete, hypercube
@@ -46,6 +47,22 @@ def pinned_instances():
                     yield og, GameVariant(push, k)
 
 
+def plane_scan_max_level(result):
+    """`SolveResult.max_level` read from the level planes: the highest level
+    + 1 over every position of each turn, then the placement levels."""
+    top = []
+    for planes in result.planes:
+        rows = [int.from_bytes(x, "little") for x in planes]
+        ties, v = -1, 0
+        for b in reversed(range(len(rows))):
+            hit = rows[b] & ties
+            if hit:
+                ties = hit  # keep the positions that still tie for the top
+                v |= 1 << b
+        top.append(v - 1)
+    return max(*top, *(lv for lv in result.placed if lv is not None))
+
+
 class TestArena:
     @pytest.mark.parametrize("n,k", [(3, 1), (3, 2), (4, 1), (4, 3)])
     def test_state_count_formula(self, n, k):
@@ -57,12 +74,27 @@ class TestArena:
 
     def test_no_push_collapses_parities(self):
         arena = Arena(triangle().push(1), GameVariant(PushAbility.NONE, 1))
-        assert arena.parities == [triangle().push(1).parity]
+        assert arena.parities == (triangle().push(1).parity,)
 
     def test_wrong_parity_rejected(self):
         result = solve_game(triangle(), GameVariant(PushAbility.NONE, 1))
         with pytest.raises(QueriedOnWrongArenaError):
             result.level_of(GameState(3, (0,), 1, Turn.COP))
+
+    @pytest.mark.parametrize("robber", [3, -1])
+    def test_robber_outside_the_arena_rejected(self, robber):
+        # robber 3 on the triangle would read cops (1,) with the robber on 0
+        result = solve_game(triangle(), GameVariant(PushAbility.STRONG, 1))
+        for turn in (Turn.COP, Turn.ROBBER):
+            with pytest.raises(QueriedOnWrongArenaError):
+                result.level_of(GameState(0, (0,), robber, turn))
+
+    @pytest.mark.parametrize("k,cops", [(1, (7,)), (2, (2, 1)), (2, (0,))])
+    def test_foreign_cop_tuple_rejected(self, k, cops):
+        result = solve_game(triangle(), GameVariant(PushAbility.STRONG, k))
+        for robber, turn in ((0, Turn.COP), (0, Turn.ROBBER), (None, Turn.ROBBER_PLACEMENT)):
+            with pytest.raises(QueriedOnWrongArenaError):
+                result.level_of(GameState(0, cops, robber, turn))
 
 
 class TestSolve:
@@ -118,6 +150,33 @@ class TestSolve:
         assert digest.hexdigest() == (
             "0fcd21240c6c952941f595c2a83c2f1d5de609920b8fd6d05a950ba0fcde41f6"
         )
+
+    def test_max_level_equals_the_plane_scan(self):
+        """max_level from the round count equals the scan of every plane."""
+        for og, variant in pinned_instances():
+            result = solve_game(og, variant)
+            assert result.max_level == plane_scan_max_level(result), (list(og.arcs()), variant)
+
+    def test_frame_cache_follows_key_changes(self):
+        """Solves that change n, k, push or the pushless parity from one to the
+        next give what a solve from an emptied frame cache gives."""
+        path = validate_graph(3, [(0, 1), (1, 2)])
+        runs = [
+            (triangle(), GameVariant(PushAbility.STRONG, 1)),
+            (directed_cycle(4), GameVariant(PushAbility.STRONG, 1)),
+            (directed_cycle(4), GameVariant(PushAbility.STRONG, 2)),
+            (directed_cycle(4), GameVariant(PushAbility.WEAK, 2)),
+            (path, GameVariant(PushAbility.NONE, 1)),
+            (path.push(2), GameVariant(PushAbility.NONE, 1)),  # same graph, other parity
+            (path, GameVariant(PushAbility.NONE, 1)),
+            (triangle(), GameVariant(PushAbility.STRONG, 1)),
+        ]
+        got = [solve_game(og, variant) for og, variant in runs]
+        for (og, variant), result in zip(runs, got):
+            solver._frame.cache_clear()
+            fresh = solve_game(og, variant)
+            assert (result.planes, result.placed, result.iterations) == (
+                fresh.planes, fresh.placed, fresh.iterations), (list(og.arcs()), variant)
 
     def test_each_round_after_the_first_evaluates_one_side(self, monkeypatch):
         """Over the pinned solves, round 1 evaluates both pre-images and every
@@ -219,7 +278,7 @@ class TestLevelReaders:
             return None if None in levels else max(levels)
 
         member_wins = result.member_wins()
-        assert list(member_wins) == arena.parities
+        assert tuple(member_wins) == arena.parities
         for p in arena.parities:
             wins = [w for w in (worst(p, cfg) for cfg in arena.cfgs) if w is not None]
             rounds = (min(wins) + 1) // 2 if wins else None
