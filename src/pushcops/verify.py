@@ -64,12 +64,18 @@ class SuiteResult:
         return "\n".join(lines)
 
 
-def _connected_graphs(max_n: int, max_degree: int | None = None):
+def _connected_graphs(max_n: int):
     for n in range(1, max_n + 1):
-        yield from enumerate_connected_graphs(n, max_degree)
+        yield from enumerate_connected_graphs(n)
 
 
 STRONG_1 = GameVariant(PushAbility.STRONG, 1)
+
+
+def _one_cop_classes(g: UnderlyingGraph):
+    """(representative, one strong-push cop solve) of each push class of `g`."""
+    for rep in enumerate_orientations(g, per_class=True):
+        yield rep, solve_game(rep, STRONG_1)
 
 
 def worst_robber_lines(cop, members: list[OrientedGraph]) -> dict[int, int]:
@@ -127,14 +133,13 @@ def suite_theorem_dag(max_n: int = 5) -> SuiteResult:
     worst_by_n: dict[int, int] = {}
     excess_by_n: dict[int, int] = {}
     for g in _connected_graphs(max_n):
-        for rep in enumerate_orientations(g, per_class=True):
+        for rep, solved in _one_cop_classes(g):
             try:
                 # its target is the class's, so it serves every member
                 cop = StrongPushDagStrategy(rep)
             except NotPushableToDagError:
                 continue
             members = []
-            solved = solve_game(rep, STRONG_1)
             for p, win in solved.member_wins().items():
                 members.append(rep.with_parity(p))
                 if not win:
@@ -163,34 +168,48 @@ def suite_theorem_dag(max_n: int = 5) -> SuiteResult:
     return res
 
 
-def _one_cop_verdicts(graphs):
-    """Every orientation of every graph, with whether one strong-push cop wins
-    it, read from one solve per push class (parity 0 is the representative)."""
-    for g in graphs:
-        for rep in enumerate_orientations(g, per_class=True):
-            for p, win in solve_game(rep, STRONG_1).member_wins().items():
-                yield rep.with_parity(p), win
+def one_cop_theorems(g: UnderlyingGraph) -> tuple[str, ...]:
+    """The paper's theorems by which one strong-push cop wins every orientation of `g`."""
+    covers = {"3-degenerate": is_k_degenerate(g, 3)[0], "max-degree-4": g.max_degree() <= 4}
+    return tuple(name for name, covered in covers.items() if covered)
 
 
-def _suite_c1(name: str, graphs) -> SuiteResult:
-    res = SuiteResult(name)
-    for og, win in _one_cop_verdicts(graphs):
-        res.checked += 1
-        if not win:
-            res.fail("strong-push cop number exceeds 1", og)
+def suite_one_cop(max_n: int = 5) -> SuiteResult:
+    """One strong-push cop wins every orientation of every graph a one-cop theorem
+    covers; a lost member of an uncovered graph answers the open problem (a finding)."""
+    res = SuiteResult("one-cop")
+    graphs, classes, members = Counter(), Counter(), Counter()  # keyed by (n, label)
+    top_level: dict[int, int] = {}  # n -> highest max_level of an uncovered class
+    hard: list[OrientedGraph] = []
+    for g in _connected_graphs(max_n):
+        theorems = one_cop_theorems(g)
+        keys = [(g.n, label) for label in theorems or ("uncovered",)]
+        graphs.update(keys)
+        for rep, solved in _one_cop_classes(g):
+            wins = solved.member_wins()
+            res.checked += len(wins)
+            classes.update(keys)
+            members.update(dict.fromkeys(keys, len(wins)))
+            lost = [rep.with_parity(p) for p, win in wins.items() if not win]
+            if theorems:
+                for og in lost:
+                    res.fail(f"strong-push cop number exceeds 1 ({' and '.join(theorems)})", og)
+            else:
+                top_level[g.n] = max(top_level.get(g.n, 0), solved.max_level)
+                hard.extend(lost)
+    for label in ("3-degenerate", "max-degree-4", "uncovered"):
+        per_n = {n: (graphs[n, label], classes[n, label], members[n, label])
+                 for n in range(1, max_n + 1)}
+        res.findings.append(f"{label}: {sum(m for *_, m in per_n.values())} members;"
+                            f" graphs, classes, members per n {per_n}")
+    res.findings.append(f"highest uncovered max_level per n {top_level}")
+    if hard:
+        res.findings.append(f"found {len(hard)} orientation(s) with strong-push cop number > 1")
+        res.findings.extend(serialize_arcs(og).replace("\n", "; ") for og in hard[:5])
+        res.repro = res.repro or hard[0]
+    else:
+        res.findings.append("no push class has an orientation with strong-push cop number > 1")
     return res
-
-
-def suite_theorem_3degen(max_n: int = 5) -> SuiteResult:
-    """3-degenerate graphs: one strong-push cop wins every orientation."""
-    graphs = (g for g in _connected_graphs(max_n) if is_k_degenerate(g, 3)[0])
-    return _suite_c1("theorem-3degen", graphs)
-
-
-def suite_theorem_maxdeg4(max_n: int = 5) -> SuiteResult:
-    """Max degree <= 4: one strong-push cop wins every orientation."""
-    graphs = _connected_graphs(max_n, max_degree=4)
-    return _suite_c1("theorem-maxdeg4", graphs)
 
 
 def four_regular_families() -> list[tuple[str, UnderlyingGraph]]:
@@ -209,19 +228,21 @@ def suite_strategy_4regular(max_n: int = 5) -> SuiteResult:
     for name, g in four_regular_families():
         checked = worst = 0
         fired: Counter = Counter()  # orientations on which each script ran on some line
-        for og, win in _one_cop_verdicts([g]):
-            if not win:
-                res.fail(f"{name}: solver says one strong-push cop loses", og)
-                continue
-            if g.n > max_n and og.parity:
-                continue
-            checked += 1
-            cop = FourRegularStrategy(og)
-            try:
-                worst = max(worst, worst_robber_lines(cop, [og])[og.parity])
-            except (InternalInvariantViolation, IllegalStrategyActionError) as exc:
-                res.fail(f"{name}: {type(exc).__name__}: {exc}", og)
-            fired.update({e["script"] or "dispatch" for e in cop.audit_log})
+        for rep, solved in _one_cop_classes(g):
+            for p, win in solved.member_wins().items():
+                og = rep.with_parity(p)
+                if not win:
+                    res.fail(f"{name}: solver says one strong-push cop loses", og)
+                    continue
+                if g.n > max_n and p:
+                    continue
+                checked += 1
+                cop = FourRegularStrategy(og)
+                try:
+                    worst = max(worst, worst_robber_lines(cop, [og])[p])
+                except (InternalInvariantViolation, IllegalStrategyActionError) as exc:
+                    res.fail(f"{name}: {type(exc).__name__}: {exc}", og)
+                fired.update({e["script"] or "dispatch" for e in cop.audit_log})
         res.checked += checked
         res.findings.append(
             f"{name}: every robber line from {checked} orientations captured"
@@ -376,30 +397,11 @@ def check_k4_obstruction() -> SuiteResult:
     return res
 
 
-def open_problem_sweep(max_n: int = 5) -> SuiteResult:
-    """Search for any orientation needing more than one strong-push cop."""
-    res = SuiteResult("open-problem-sweep")
-    hard: list[OrientedGraph] = []
-    for og, win in _one_cop_verdicts(_connected_graphs(max_n)):
-        res.checked += 1
-        if not win:
-            hard.append(og)
-    if hard:
-        res.findings.append(f"found {len(hard)} orientation(s) with strong-push cop number > 1")
-        res.findings.extend(serialize_arcs(og).replace("\n", "; ") for og in hard[:5])
-        res.repro = hard[0]
-    else:
-        res.findings.append("no push class has an orientation with strong-push cop number > 1")
-    return res
-
-
 SUITES = {
     "theorem-dag": suite_theorem_dag,
-    "theorem-3degen": suite_theorem_3degen,
-    "theorem-maxdeg4": suite_theorem_maxdeg4,
+    "one-cop": suite_one_cop,
     "strategy-4regular": suite_strategy_4regular,
     "pushdag-props": suite_pushdag_props,
     "trap": suite_trap,
     "monotonic": suite_monotonic,
-    "open-problem": open_problem_sweep,
 }

@@ -7,13 +7,11 @@ import pytest
 from pushcops.verify import (
     check_directed_cycles,
     check_k4_obstruction,
-    open_problem_sweep,
     suite_monotonic,
+    suite_one_cop,
     suite_pushdag_props,
     suite_strategy_4regular,
-    suite_theorem_3degen,
     suite_theorem_dag,
-    suite_theorem_maxdeg4,
     suite_trap,
 )
 
@@ -39,22 +37,45 @@ def test_pushable_to_dag_means_one_cop_wins():
     ]
 
 
-def test_three_degenerate_one_cop_fast_tier():
-    report("3-degenerate => c_sp = 1 (n<=5 tier)", suite_theorem_3degen(max_n=5))
+SMALL_N = "1: (1, 1, 1), 2: (1, 1, 2), 3: (4, 5, 20), 4: (38, 78, 624)"
 
 
-def test_max_degree_four_one_cop_fast_tier():
-    report("max degree <= 4 => c_sp = 1 (n<=5 tier)", suite_theorem_maxdeg4(max_n=5))
+def test_one_cop_theorems_fast_tier():
+    """One strong-push cop wins every orientation of every 3-degenerate and
+    every max-degree-4 connected graph with n <= 5, from one solve per push
+    class; every graph at this scale is covered, K5 by max-degree-4 alone."""
+    res = suite_one_cop(max_n=5)
+    report("3-degenerate or max degree <= 4 => c_sp = 1 (n<=5 tier)", res)
+    assert res.checked == 55_895
+    assert res.findings == [
+        "3-degenerate: 54871 members; graphs, classes, members per n"
+        f" {{{SMALL_N}, 5: (727, 3389, 54224)}}",
+        "max-degree-4: 55895 members; graphs, classes, members per n"
+        f" {{{SMALL_N}, 5: (728, 3453, 55248)}}",
+        "uncovered: 0 members; graphs, classes, members per n"
+        " {1: (0, 0, 0), 2: (0, 0, 0), 3: (0, 0, 0), 4: (0, 0, 0), 5: (0, 0, 0)}",
+        "highest uncovered max_level per n {}",
+        "no push class has an orientation with strong-push cop number > 1",
+    ]
 
 
 @pytest.mark.slow
-def test_three_degenerate_one_cop_full():
-    report("3-degenerate => c_sp = 1 (n<=6 full)", suite_theorem_3degen(max_n=6))
-
-
-@pytest.mark.slow
-def test_max_degree_four_one_cop_full():
-    report("max degree <= 4 => c_sp = 1 (n<=6 full)", suite_theorem_maxdeg4(max_n=6))
+def test_one_cop_theorems_full():
+    """The n <= 6 tier, which also sweeps the 211 graphs no theorem covers
+    for an orientation needing two strong-push cops (the open problem)."""
+    res = suite_one_cop(max_n=6)
+    report("3-degenerate or max degree <= 4 => c_sp = 1, open-problem sweep (n<=6 full)", res)
+    assert res.checked == 14_038_103
+    assert res.findings == [
+        "3-degenerate: 12529751 members; graphs, classes, members per n"
+        f" {{{SMALL_N}, 5: (727, 3389, 54224), 6: (26478, 389840, 12474880)}}",
+        "max-degree-4: 6661015 members; graphs, classes, members per n"
+        f" {{{SMALL_N}, 5: (728, 3453, 55248), 6: (21385, 206410, 6605120)}}",
+        "uncovered: 1445888 members; graphs, classes, members per n {1: (0, 0, 0),"
+        " 2: (0, 0, 0), 3: (0, 0, 0), 4: (0, 0, 0), 5: (0, 0, 0), 6: (211, 45184, 1445888)}",
+        "highest uncovered max_level per n {6: 10}",
+        "no push class has an orientation with strong-push cop number > 1",
+    ]
 
 
 def test_four_regular_strategy_beats_optimal_robber():
@@ -104,14 +125,3 @@ def test_directed_cycles_classical_vs_push():
 
 def test_k4_obstruction_partition():
     report("K4 push-class partition", check_k4_obstruction())
-
-
-def test_open_problem_sweep_fast_tier():
-    res = open_problem_sweep(max_n=5)
-    report("open-problem sweep (n<=5 tier)", res)
-    assert any("no push class" in f for f in res.findings)
-
-
-@pytest.mark.slow
-def test_open_problem_sweep_full():
-    report("open-problem sweep (n<=6 full)", open_problem_sweep(max_n=6))

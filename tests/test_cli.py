@@ -238,6 +238,18 @@ class TestVerify:
         assert main(["verify", "trap", "--max-n", "1"]) == 1
         assert "max_n >= 2" in capsys.readouterr().err
 
+    def test_open_problem_repro_written_on_pass(self, monkeypatch, tmp_path, capsys):
+        # an uncovered loss passes the suite but is still written out
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(verify, "one_cop_theorems", lambda g: ())
+        monkeypatch.setattr(solver.SolveResult, "member_wins",
+                            lambda self: {p: p != 1 for p in self.arena.parities})
+        assert main(["verify", "one-cop", "--max-n", "2"]) == 0
+        assert "repro written to one-cop-failure.arcs" in capsys.readouterr().err
+        written = parse_arcs((tmp_path / "one-cop-failure.arcs").read_text())
+        rep = next(enumerate_orientations(complete(2), per_class=True))
+        assert same_orientation(written, rep.with_parity(1))
+
     @pytest.mark.parametrize("name", verify.SUITES)
     def test_every_suite_passes(self, name, capsys):
         assert main(["verify", name, "--max-n", "3"]) == 0

@@ -36,21 +36,66 @@ class TestTheoremDag:
 
 
 class TestOneCopSuites:
-    def test_every_orientation_counted(self):
-        # 23 labeled orientations of the connected graphs on at most 3
-        # vertices, which fall into 7 push classes
-        assert verify.suite_theorem_3degen(max_n=3).checked == 23
-
-    def test_repro_is_the_losing_member(self, monkeypatch):
+    @staticmethod
+    def lose_parity_1(monkeypatch):
         monkeypatch.setattr(
             SolveResult, "member_wins",
             lambda self: {p: p != 1 for p in self.arena.parities},
         )
-        res = verify.suite_theorem_3degen(max_n=2)
+
+    def test_every_orientation_counted(self):
+        # 23 labeled orientations of the connected graphs on at most 3
+        # vertices, which fall into 7 push classes
+        assert verify.suite_one_cop(max_n=3).checked == 23
+
+    def test_repro_is_the_losing_member(self, monkeypatch):
+        self.lose_parity_1(monkeypatch)
+        res = verify.suite_one_cop(max_n=2)
         assert not res.passed and res.repro.parity == 1
-        sweep = verify.open_problem_sweep(max_n=2)
-        assert sweep.repro.parity == 1
-        assert sweep.findings[0] == "found 1 orientation(s) with strong-push cop number > 1"
+        assert res.failures == [
+            "strong-push cop number exceeds 1 (3-degenerate and max-degree-4)"
+        ]
+
+    def test_uncovered_loss_is_a_finding(self, monkeypatch):
+        self.lose_parity_1(monkeypatch)
+        monkeypatch.setattr(verify, "one_cop_theorems", lambda g: ())
+        res = verify.suite_one_cop(max_n=2)
+        assert res.passed and res.repro.parity == 1
+        assert "found 1 orientation(s) with strong-push cop number > 1" in res.findings
+
+    def test_solves_each_push_class_once(self, monkeypatch):
+        real = verify.solve_game
+        calls = []
+        monkeypatch.setattr(verify, "solve_game",
+                            lambda og, variant: calls.append(og) or real(og, variant))
+        assert verify.suite_one_cop(max_n=4).passed
+        assert len(calls) == 85  # the push classes of the connected graphs on at most 4 vertices
+
+    def test_coverage_labels_to_n6(self):
+        # (n, label) -> [graphs, classes, members]: a connected graph has
+        # 2^(m-n+1) push classes of 2^(n-1) members each
+        counts = {}
+        regular = {}  # n -> graphs covered by max-degree-4 alone
+        for g in verify._connected_graphs(6):
+            theorems = verify.one_cop_theorems(g)
+            if theorems == ("max-degree-4",):
+                # maximum degree 4 and not 3-degenerate forces 4-regular
+                assert {len(a) for a in g.adj} == {4}
+                regular[g.n] = regular.get(g.n, 0) + 1
+            classes = 1 << (g.m - g.n + 1)
+            for label in theorems or ("uncovered",):
+                row = counts.setdefault((g.n, label), [0, 0, 0])
+                row[0] += 1
+                row[1] += classes
+                row[2] += classes << (g.n - 1)
+        assert regular == {5: 1, 6: 15}  # K5 and the octahedra
+        assert {key: row for key, row in counts.items() if key[0] >= 5} == {
+            (5, "3-degenerate"): [727, 3_389, 54_224],
+            (5, "max-degree-4"): [728, 3_453, 55_248],
+            (6, "3-degenerate"): [26_478, 389_840, 12_474_880],
+            (6, "max-degree-4"): [21_385, 206_410, 6_605_120],
+            (6, "uncovered"): [211, 45_184, 1_445_888],
+        }
 
 
 class TestPushdagProps:
