@@ -40,23 +40,49 @@ def test_pushable_to_dag_means_one_cop_wins():
 SMALL_N = "1: (1, 1, 1), 2: (1, 1, 2), 3: (4, 5, 20), 4: (38, 78, 624)"
 
 
-def test_one_cop_theorems_fast_tier():
-    """One strong-push cop wins every orientation of every 3-degenerate and
-    every max-degree-4 connected graph with n <= 5, from one solve per push
-    class; every graph at this scale is covered, K5 by max-degree-4 alone."""
+@pytest.fixture(scope="module")
+def one_cop_n5():
+    """The n <= 5 one-cop pass, run once for the three tests that read it:
+    one solve per push class labels every member under each theorem that
+    covers its graph; every graph at this scale is covered, K5 by
+    max-degree-4 alone."""
     res = suite_one_cop(max_n=5)
-    report("3-degenerate or max degree <= 4 => c_sp = 1 (n<=5 tier)", res)
     assert res.checked == 55_895
-    assert res.findings == [
+    return res
+
+
+def test_three_degenerate_one_cop_fast_tier(one_cop_n5):
+    """One strong-push cop wins every orientation of every 3-degenerate
+    connected graph with n <= 5."""
+    report("3-degenerate => c_sp = 1 (n<=5 tier)", one_cop_n5)
+    assert one_cop_n5.findings[0] == (
         "3-degenerate: 54871 members; graphs, classes, members per n"
-        f" {{{SMALL_N}, 5: (727, 3389, 54224)}}",
+        f" {{{SMALL_N}, 5: (727, 3389, 54224)}}"
+    )
+
+
+def test_max_degree_four_one_cop_fast_tier(one_cop_n5):
+    """One strong-push cop wins every orientation of every connected graph
+    with maximum degree 4 and n <= 5."""
+    report("max degree <= 4 => c_sp = 1 (n<=5 tier)", one_cop_n5)
+    assert one_cop_n5.findings[1] == (
         "max-degree-4: 55895 members; graphs, classes, members per n"
-        f" {{{SMALL_N}, 5: (728, 3453, 55248)}}",
+        f" {{{SMALL_N}, 5: (728, 3453, 55248)}}"
+    )
+
+
+def test_open_problem_sweep_fast_tier(one_cop_n5):
+    """No connected graph with n <= 5 is left uncovered by the two theorems,
+    so the open-problem sweep finds nothing and writes no repro."""
+    report("open-problem sweep: uncovered graphs with c_sp > 1 (n<=5 tier)", one_cop_n5)
+    assert one_cop_n5.findings[2:] == [
         "uncovered: 0 members; graphs, classes, members per n"
         " {1: (0, 0, 0), 2: (0, 0, 0), 3: (0, 0, 0), 4: (0, 0, 0), 5: (0, 0, 0)}",
         "highest uncovered max_level per n {}",
         "no push class has an orientation with strong-push cop number > 1",
     ]
+    assert one_cop_n5.repro is None
+    assert len(one_cop_n5.findings) == 5
 
 
 @pytest.mark.slow
