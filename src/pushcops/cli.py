@@ -144,6 +144,8 @@ def cmd_sweep(args) -> int:
         raise SystemExit2(f"cannot read {args.spec}: {exc.strerror}")
     except json.JSONDecodeError as exc:
         raise SystemExit2(f"{args.spec}: invalid JSON at line {exc.lineno}")
+    if not isinstance(spec, dict) or not isinstance(spec.get("jobs", []), list):
+        raise SystemExit2(f"{args.spec}: the spec must be a JSON object with a list of jobs")
     report = run_sweep(spec)
     paths = write_report(report, args.out)
     print(

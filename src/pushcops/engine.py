@@ -170,9 +170,6 @@ class Game:
         """The orientation at `parity` after pushing v, from the same cache."""
         return self._orientations[push_parity(parity, v, self.graph.n)]
 
-    def out_neighbors(self, parity: int, v: int) -> tuple[int, ...]:
-        return self._orientations[parity].out_neighbors(v)
-
     def _pushable(self, pos: int) -> Sequence[int]:
         """The vertices a cop on `pos` may push: none, its own, or all n."""
         if self.variant.push is PushAbility.STRONG:

@@ -35,6 +35,12 @@ class DisconnectedError(GraphError):
         self.component = frozenset(component)
 
 
+class NoVertexError(GraphError):
+    def __init__(self, n):
+        super().__init__(f"a graph needs at least one vertex, got n={n}")
+        self.n = n
+
+
 class VertexOutOfRangeError(GraphError):
     def __init__(self, v, n):
         super().__init__(f"vertex {v} out of range for n={n}")

@@ -6,7 +6,7 @@ import itertools
 import random
 from typing import Iterator
 
-from .errors import BadFamilyParamsError, TooLargeError
+from .errors import BadFamilyParamsError, NoVertexError, TooLargeError
 from .graph import OrientedGraph, UnderlyingGraph
 
 MAX_ENUM_VERTICES = 7
@@ -99,6 +99,8 @@ def enumerate_connected_graphs(
     search from vertex 0 reaches every vertex.  Slots are in lexicographic
     order, so the low edges followed by the high ones are already sorted.
     """
+    if n < 1:
+        raise NoVertexError(n)
     if n > MAX_ENUM_VERTICES:
         raise TooLargeError(f"n={n} exceeds enumeration cap {MAX_ENUM_VERTICES}", n)
     slots = list(itertools.combinations(range(n), 2))

@@ -16,6 +16,7 @@ from typing import Collection, Iterator, Sequence
 from .errors import (
     DisconnectedError,
     DuplicateEdgeError,
+    NoVertexError,
     SelfLoopError,
     TwoCycleError,
     VertexOutOfRangeError,
@@ -41,6 +42,8 @@ class UnderlyingGraph:
 
     @staticmethod
     def from_edges(n: int, pairs: Sequence[tuple[int, int]]) -> "UnderlyingGraph":
+        if n < 1:
+            raise NoVertexError(n)
         seen = set()
         canon = []
         for u, v in pairs:
@@ -60,7 +63,7 @@ class UnderlyingGraph:
             adj[u].append(v)
             adj[v].append(u)
         g = UnderlyingGraph(n, tuple(canon), tuple(tuple(sorted(a)) for a in adj))
-        comp = g._component_of(0) if n else frozenset()
+        comp = g._component_of(0)
         if len(comp) != n:
             raise DisconnectedError(comp)
         return g

@@ -45,34 +45,50 @@ CSV_HEADER = [
 ]
 
 
+def _field(record: dict, key: str, convert):
+    """record[key] through `convert`; BadFamilyParamsError names a missing or bad field."""
+    if key not in record:
+        raise BadFamilyParamsError(f"missing field {key!r}")
+    try:
+        return convert(record[key])
+    except (TypeError, ValueError):
+        raise BadFamilyParamsError(f"field {key!r} is not valid: {record[key]!r}") from None
+
+
+def _ints(values) -> tuple[int, ...]:
+    # `gen --params offsets=12` passes one string: one value, not the digits
+    return tuple(int(v) for v in ([values] if isinstance(values, str) else values))
+
+
 def build_family(family: str, params: dict):
     """Yield (graph label, UnderlyingGraph) pairs for one family spec."""
     if family == "complete":
-        yield f"complete-{params['n']}", complete(int(params["n"]))
+        n = _field(params, "n", int)
+        yield f"complete-{n}", complete(n)
     elif family == "path":
-        yield f"path-{params['n']}", path(int(params["n"]))
+        n = _field(params, "n", int)
+        yield f"path-{n}", path(n)
     elif family == "cycle":
-        yield f"cycle-{params['n']}", cycle(int(params["n"]))
+        n = _field(params, "n", int)
+        yield f"cycle-{n}", cycle(n)
     elif family == "circulant":
-        offs = tuple(int(d) for d in params["offsets"])
-        yield f"circulant-{params['n']}-{'.'.join(map(str, offs))}", circulant(
-            int(params["n"]), offs
-        )
+        n, offs = _field(params, "n", int), _field(params, "offsets", _ints)
+        yield f"circulant-{n}-{'.'.join(map(str, offs))}", circulant(n, offs)
     elif family == "complete_multipartite":
-        sizes = tuple(int(s) for s in params["sizes"])
+        sizes = _field(params, "sizes", _ints)
         yield f"multipartite-{'.'.join(map(str, sizes))}", complete_multipartite(sizes)
     elif family == "octahedron":
         yield "octahedron", octahedron()
     elif family == "hypercube":
-        yield f"hypercube-{params['d']}", hypercube(int(params["d"]))
+        d = _field(params, "d", int)
+        yield f"hypercube-{d}", hypercube(d)
     elif family == "grid":
-        yield f"grid-{params['rows']}x{params['cols']}", grid(
-            int(params["rows"]), int(params["cols"])
-        )
+        rows, cols = _field(params, "rows", int), _field(params, "cols", int)
+        yield f"grid-{rows}x{cols}", grid(rows, cols)
     elif family == "connected":
-        n = int(params["n"])
-        max_degree = params.get("max_degree")
-        max_degree = None if max_degree is None else int(max_degree)
+        n = _field(params, "n", int)
+        cap = params.get("max_degree")
+        max_degree = None if cap is None else _field(params, "max_degree", int)
         for i, g in enumerate(enumerate_connected_graphs(n, max_degree)):
             yield f"connected-{n}-{i}", g
     else:
@@ -142,31 +158,45 @@ def sweep_row(instance_id: str, family: str, og: OrientedGraph, push: PushAbilit
     return row
 
 
+JOB_DEFAULTS = {"params": {}, "orient": "classes", "seed": 0, "push": "strong", "k_max": 1}
+
+
 def run_sweep(spec: dict) -> SweepReport:
-    """Run every job in the sweep spec; failures land in the row's error column."""
+    """Run every job in the sweep spec; failures land in the row's error column.
+
+    A malformed job raises BadFamilyParamsError naming the job and the field."""
     report = SweepReport()
-    for job in spec.get("jobs", []):
-        family = job["family"]
-        params = job.get("params", {})
-        orient = job.get("orient", "classes")
-        seed = int(job.get("seed", 0))
-        push = PushAbility(job.get("push", "strong"))
-        k_max = int(job.get("k_max", 1))
-        if k_max < 1:
-            raise BadFamilyParamsError(f"k_max must be at least 1, got {k_max}")
-        for label, g in build_family(family, params):
-            for og in orientations_for(g, orient, seed):
-                instance_id = f"{label}-r{og.ref_bits}-c{og.parity}"
-                row = sweep_row(instance_id, family, og, push, k_max)
-                report.rows.append(row)
-                if (
-                    push is PushAbility.STRONG
-                    and not row["error"]
-                    and row["cop_number"] != 1
-                ):
-                    report.flagged.append(og)
+    for number, job in enumerate(spec.get("jobs", []), 1):
+        try:
+            _run_job(report, job)
+        except BadFamilyParamsError as exc:
+            raise BadFamilyParamsError(f"job {number}: {exc}") from None
     report.rows.sort(key=lambda r: r["instance_id"])
     return report
+
+
+def _run_job(report: SweepReport, job: dict) -> None:
+    if not isinstance(job, dict):
+        raise BadFamilyParamsError(f"not a JSON object: {job!r}")
+    job = {**JOB_DEFAULTS, **job}
+    family = _field(job, "family", str)
+    params = _field(job, "params", dict)
+    seed = _field(job, "seed", int)
+    push = _field(job, "push", PushAbility)
+    k_max = _field(job, "k_max", int)
+    if k_max < 1:
+        raise BadFamilyParamsError(f"k_max must be at least 1, got {k_max}")
+    for label, g in build_family(family, params):
+        for og in orientations_for(g, job["orient"], seed):
+            instance_id = f"{label}-r{og.ref_bits}-c{og.parity}"
+            row = sweep_row(instance_id, family, og, push, k_max)
+            report.rows.append(row)
+            if (
+                push is PushAbility.STRONG
+                and not row["error"]
+                and row["cop_number"] != 1
+            ):
+                report.flagged.append(og)
 
 
 def write_report(report: SweepReport, prefix: str) -> list[str]:

@@ -11,7 +11,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .engine import Game, GameState, GameVariant, PushAbility, Turn, play_match
+from .engine import Game, GameState, GameVariant, PushAbility, Turn
 from .errors import (
     BadFamilyParamsError,
     IllegalActionError,
@@ -38,7 +38,7 @@ from .graph import (
 )
 from .pushdag import find_dag_push_set, growth_rounds, push_delta
 from .solver import cop_numbers, solve_game
-from .strategies import StayRobber, StrongPushDagStrategy, TrapCaptureStrategy
+from .strategies import StrongPushDagStrategy, TrapCaptureStrategy
 
 
 @dataclass
@@ -70,6 +70,7 @@ def _connected_graphs(max_n: int):
 
 
 STRONG_1 = GameVariant(PushAbility.STRONG, 1)
+WEAK_1 = GameVariant(PushAbility.WEAK, 1)
 
 
 def _one_cop_classes(g: UnderlyingGraph):
@@ -78,18 +79,17 @@ def _one_cop_classes(g: UnderlyingGraph):
         yield rep, solve_game(rep, STRONG_1)
 
 
-def worst_robber_lines(cop, members: list[OrientedGraph]) -> dict[int, int]:
-    """Worst capture round of the one-cop strong-push strategy `cop` over every
-    robber line from each member of one push class, keyed by parity.
+def worst_robber_lines(cop, game: Game, starts: list[GameState]) -> list[int]:
+    """Worst capture round of the one-cop strategy `cop` over every robber
+    line of `game` from each of `starts`, in order.
 
-    A depth-first search on one `Game` that branches on every robber
-    placement and move and, at each cop turn, sets `cop.memory`, asks `cop`
-    to act and reads the memory back.  Rounds count as in `play_match`.  A
-    (state, memory) repeated on the search stack, a line that never ends,
-    raises `InternalInvariantViolation`; an illegal cop action raises
-    `IllegalStrategyActionError`.
+    A depth-first search that branches on every robber placement and move
+    and, at each cop turn, sets `cop.memory`, asks `cop` to act and reads the
+    memory back; the search starts from `cop.memory` as it stands.  Rounds
+    count as in `play_match`.  A (state, memory) repeated on the search
+    stack, a line that never ends, raises `InternalInvariantViolation`; an
+    illegal cop action raises `IllegalStrategyActionError`.
     """
-    game = Game(members[0], STRONG_1)
     start = cop.memory
     # a cop turn's (parity, cops, robber, memory) -> rounds left on its worst
     # line, None while on the search stack.  Every line passes cop turns, so
@@ -119,8 +119,7 @@ def worst_robber_lines(cop, members: list[OrientedGraph]) -> dict[int, int]:
         done = memo[key] = cop_round + worst(after, cop.memory, round_no)
         return done
 
-    return {og.parity: worst(GameState(og.parity, None, None, Turn.COP_PLACEMENT), start, 0)
-            for og in members}
+    return [worst(state, start, 0) for state in starts]
 
 
 def suite_theorem_dag(max_n: int = 5) -> SuiteResult:
@@ -146,12 +145,12 @@ def suite_theorem_dag(max_n: int = 5) -> SuiteResult:
                     res.fail("solver says robber-win on a DAG-pushable orientation", members[-1])
             res.checked += len(members)
             try:
-                rounds = worst_robber_lines(cop, members)
+                rounds = worst_robber_lines(cop, Game(rep, STRONG_1), [
+                    GameState(og.parity, None, None, Turn.COP_PLACEMENT) for og in members])
             except (InternalInvariantViolation, IllegalStrategyActionError) as exc:
                 res.fail(f"push-then-chase strategy: {type(exc).__name__}: {exc}", rep)
                 continue
-            for member in members:
-                worst = rounds[member.parity]
+            for member, worst in zip(members, rounds):
                 bound = len(push_delta(member, cop.target)) + 3 * (g.n - 1)
                 if worst > bound:
                     res.fail(f"capture took {worst} rounds, bound {bound}", member)
@@ -162,7 +161,7 @@ def suite_theorem_dag(max_n: int = 5) -> SuiteResult:
                     res.fail(f"worst robber line took {worst} rounds, under the solver"
                              f" optimum {optimum}", member)
                 excess_by_n[g.n] = max(excess_by_n.get(g.n, 0), worst - optimum)
-            worst_by_n[g.n] = max(worst_by_n.get(g.n, 0), *rounds.values())
+            worst_by_n[g.n] = max(worst_by_n.get(g.n, 0), *rounds)
     res.findings.append(f"worst round per n {worst_by_n}")
     res.findings.append(f"worst excess over the solver optimum per n {excess_by_n}")
     return res
@@ -238,8 +237,9 @@ def suite_strategy_4regular(max_n: int = 5) -> SuiteResult:
                     continue
                 checked += 1
                 cop = FourRegularStrategy(og)
+                game = Game(og, STRONG_1)
                 try:
-                    worst = max(worst, worst_robber_lines(cop, [og])[p])
+                    worst = max(worst, *worst_robber_lines(cop, game, [game.initial_state()]))
                 except (InternalInvariantViolation, IllegalStrategyActionError) as exc:
                     res.fail(f"{name}: {type(exc).__name__}: {exc}", og)
                 fired.update({e["script"] or "dispatch" for e in cop.audit_log})
@@ -305,28 +305,30 @@ def random_trapped_instance(rng: random.Random, n: int):
 
 
 def suite_trap(max_n: int = 12) -> SuiteResult:
-    """Trapped robbers are captured within twice the cop's distance, with no
-    push ever landing next to the robber: 1000 seeded instances, n <= max_n."""
+    """Trapped robbers are captured within twice the cop's distance on every
+    robber line, with no push ever landing next to the robber: 1000 seeded
+    instances, n <= max_n, each from the cop's first turn under weak push."""
     if max_n < 2:
         raise BadFamilyParamsError(f"trapped instances need max_n >= 2, got {max_n}")
     res = SuiteResult("trap")
+    worst_by_n: dict[int, int] = {}
     rng = random.Random(20260823)
     for _ in range(1000):
         n = rng.randrange(2, max_n + 1)
         og, cop, robber = random_trapped_instance(rng, n)
         res.checked += 1
-        strategy = TrapCaptureStrategy(og, cop, robber)
-        trace = play_match(og, strategy, StayRobber(robber), GameVariant(PushAbility.WEAK))
-        if trace.outcome["type"] != "captured":
-            res.fail(f"trap capture did not finish (cop {cop}, robber {robber})", og)
+        where = f"(cop {cop}, robber {robber})"
+        try:
+            rounds, = worst_robber_lines(TrapCaptureStrategy(og, cop, robber), Game(og, WEAK_1),
+                                         [GameState(og.parity, (cop,), robber, Turn.COP)])
+        except (InternalInvariantViolation, IllegalStrategyActionError) as exc:
+            res.fail(f"trap capture: {type(exc).__name__}: {exc} {where}", og)
             continue
         bound = 2 * og.graph.distance(cop, robber)
-        if trace.outcome["round"] > bound:
-            res.fail(
-                f"capture took {trace.outcome['round']} rounds, bound {bound}"
-                f" (cop {cop}, robber {robber})",
-                og,
-            )
+        if rounds > bound:
+            res.fail(f"capture took {rounds} rounds, bound {bound} {where}", og)
+        worst_by_n[n] = max(worst_by_n.get(n, 0), rounds)
+    res.findings.append(f"worst capture round per n {dict(sorted(worst_by_n.items()))}")
     return res
 
 

@@ -131,7 +131,13 @@ def test_reachability_growth_properties_full():
 
 
 def test_trapped_robber_capture_bound():
-    report("trapped robber captured within 2*dist (1000 instances)", suite_trap())
+    res = suite_trap()
+    report("trapped robber captured within 2*dist on every robber line (1000 instances)", res)
+    assert res.checked == 1000
+    assert res.findings == [
+        "worst capture round per n"
+        " {2: 1, 3: 3, 4: 5, 5: 6, 6: 5, 7: 5, 8: 6, 9: 10, 10: 7, 11: 9, 12: 7}"
+    ]
 
 
 def test_push_power_monotonicity():

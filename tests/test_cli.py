@@ -8,7 +8,13 @@ from pushcops import solver, verify
 from pushcops.cli import main
 from pushcops.engine import GameVariant, PushAbility, Trace, play_match
 from pushcops.errors import BadFamilyParamsError
-from pushcops.generators import complete, cycle, enumerate_orientations, random_orientation
+from pushcops.generators import (
+    circulant,
+    complete,
+    cycle,
+    enumerate_orientations,
+    random_orientation,
+)
 from pushcops.graph import parse_arcs, serialize_arcs, validate_graph
 from pushcops.pushdag import find_dag_push_set
 from pushcops.solver import solve_game
@@ -53,6 +59,14 @@ class TestSolve:
 
     def test_bad_flag_exit_1(self):
         assert main(["solve", "--input", "x", "--push", "sideways"]) == 1
+
+    @pytest.mark.parametrize("header", ["-1 0", "0 0"])
+    def test_vertex_count_below_one_exit_1(self, tmp_path, capsys, header):
+        empty = tmp_path / "empty.arcs"
+        empty.write_text(header + "\n")
+        for command in ("solve", "play"):
+            assert main([command, "--input", str(empty)]) == 1
+            assert "at least one vertex" in capsys.readouterr().err
 
     def test_cop_count_below_one_exit_1(self, tmp_path, capsys):
         for cops in ("0", "-1"):
@@ -157,6 +171,22 @@ class TestGen:
     def test_unknown_family_exit_1(self):
         assert main(["gen", "--family", "moebius"]) == 1
 
+    def test_single_list_value_is_one_number(self, tmp_path):
+        out = str(tmp_path / "out")
+        assert main(["gen", "--family", "circulant", "--params", "n=25,offsets=12",
+                     "--out", out]) == 0
+        [written] = tmp_path.glob("out-circulant-25-12-*.arcs")
+        assert parse_arcs(written.read_text()).graph == circulant(25, (12,))
+
+    @pytest.mark.parametrize("params,message", [
+        ("", "missing field 'n'"),
+        ("n=five", "field 'n' is not valid: 'five'"),
+    ], ids=["missing", "non-integer"])
+    def test_bad_params_exit_1(self, tmp_path, capsys, params, message):
+        out = str(tmp_path / "out")
+        assert main(["gen", "--family", "complete", "--params", params, "--out", out]) == 1
+        assert message in capsys.readouterr().err
+
 
 class TestSweep:
     def test_empty_spec(self, tmp_path, capsys):
@@ -216,6 +246,22 @@ class TestSweep:
         spec.write_text("{not json")
         assert main(["sweep", "--spec", str(spec)]) == 1
 
+    @pytest.mark.parametrize("spec,message", [
+        ({"jobs": [{"family": "complete"}]}, "job 1: missing field 'n'"),
+        ({"jobs": [{"family": "complete", "params": {"n": "five"}}]},
+         "job 1: field 'n' is not valid: 'five'"),
+        ({"jobs": [{"family": "complete", "params": {"n": 3}, "push": "mega"}]},
+         "job 1: field 'push' is not valid: 'mega'"),
+        ([{"family": "complete", "params": {"n": 3}}], "the spec must be a JSON object"),
+        ({"jobs": 5}, "with a list of jobs"),
+    ], ids=["missing-param", "non-integer-param", "unknown-push", "not-an-object",
+            "jobs-not-a-list"])
+    def test_malformed_spec_exit_1(self, tmp_path, capsys, spec, message):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        assert main(["sweep", "--spec", str(path), "--out", str(tmp_path / "rep")]) == 1
+        assert message in capsys.readouterr().err
+
 
 class TestVerify:
     def test_unknown_suite_exit_1(self, capsys):
@@ -226,7 +272,7 @@ class TestVerify:
         # the 64 push classes of K5 give 1,024 orientations
         monkeypatch.setattr(verify, "four_regular_families", lambda: [("K5", complete(5))])
         monkeypatch.setattr(verify, "worst_robber_lines",
-                            lambda cop, members: {og.parity: 0 for og in members})
+                            lambda cop, game, starts: [0] * len(starts))
         assert main(["verify", "strategy-4regular", "--max-n", "4"]) == 0
         assert "(64 checks)" in capsys.readouterr().out
         assert main(["verify", "strategy-4regular", "--max-n", "5"]) == 0

@@ -170,8 +170,6 @@ class TestOrientationCache:
             first = game.orientation(state)
             assert game.orientation(state) is first
             assert same_orientation(first, OrientedGraph(og.graph, og.ref_bits, p))
-            for v in range(og.n):
-                assert game.out_neighbors(p, v) == first.out_neighbors(v)
 
     def test_pushed_reads_the_same_cache(self):
         og = validate_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
@@ -194,7 +192,8 @@ class TestOrientationCache:
             for game in games:
                 for p in range(1 << (game.graph.n - 1)):
                     fresh = OrientedGraph(game.graph, game.ref_bits, p)._tables[0]
-                    assert [game.out_neighbors(p, v) for v in range(game.graph.n)] == list(fresh)
+                    og = game.orientation(GameState(p, (0,), 1, Turn.COP))
+                    assert [og.out_neighbors(v) for v in range(game.graph.n)] == list(fresh)
 
     def test_class_members_build_each_parity_once(self, monkeypatch):
         """Playing all 16 members of a K5 class against the optimal robber

@@ -27,6 +27,12 @@ from pushcops.verify import worst_robber_lines
 STRONG = GameVariant(PushAbility.STRONG, 1)
 
 
+def worst_line(cop, og: OrientedGraph) -> int:
+    """The worst capture round of `cop` over every robber line on `og`."""
+    game = Game(og, STRONG)
+    return worst_robber_lines(cop, game, [game.initial_state()])[0]
+
+
 class TestPreconditions:
     def test_rejects_non_regular(self):
         with pytest.raises(NotFourRegularError):
@@ -70,7 +76,7 @@ class TestEveryRobberLine:
         line lasts at least the solver's optimal capture time."""
         for rep in list(enumerate_orientations(complete(5), per_class=True))[:8]:
             optimum = solve_game(rep, STRONG).capture_rounds
-            assert worst_robber_lines(FourRegularStrategy(rep), [rep])[rep.parity] >= optimum
+            assert worst_line(FourRegularStrategy(rep), rep) >= optimum
 
     def test_uncaptured_line_raises(self):
         class IdleCop(Strategy):
@@ -79,7 +85,7 @@ class TestEveryRobberLine:
 
         og = next(enumerate_orientations(complete(5), per_class=True))
         with pytest.raises(InternalInvariantViolation, match="never ends"):
-            worst_robber_lines(IdleCop(), [og])
+            worst_line(IdleCop(), og)
 
 
 def scripts_run(strategy: FourRegularStrategy) -> set:
@@ -104,7 +110,7 @@ class TestLargerFamilies:
             for _ in range(100):
                 og = OrientedGraph(g, rng.getrandbits(g.m), rng.getrandbits(g.n - 1))
                 cop = FourRegularStrategy(og)
-                worst_robber_lines(cop, [og])
+                worst_line(cop, og)
                 ran |= scripts_run(cop)
         assert {"_nonedge_case2", "_gadget_arrival"} <= ran, ran
         assert ran <= {None, "_claim_edge", "_claim_neighbor_visited", "_nonedge_case1",
@@ -145,27 +151,22 @@ class TestGadgetWalk:
         way, and captures on every robber line: the robber stays until the
         arrival endgame or leaves the camp on the way."""
         og = OrientedGraph(circulant(30, (1, 3)), 876700280566095628, 56318309)
-        game = Game(og, STRONG)
-        cop = FourRegularStrategy(og)
         steps: set = set()
 
-        def capture_every_line(state, memory, round_no):
-            if state.captured:
-                return
-            if state.turn is Turn.ROBBER:
-                for reply in game.legal_actions(state):
-                    capture_every_line(game.apply(state, reply), memory, round_no)
-                return
-            assert round_no <= 6 * og.n + 30
-            cop.memory = memory
-            audited = len(cop.audit_log)
-            action = cop(game, state)
-            if len(cop.audit_log) > audited:
-                steps.add((cop.audit_log[-1]["script"], type(action[0])))
-            capture_every_line(game.apply(state, action), cop.memory, round_no + 1)
+        class Logged(FourRegularStrategy):
+            """Logs the script and action type of each audited cop move."""
 
+            def __call__(self, game, state):
+                audited = len(self.audit_log)
+                action = super().__call__(game, state)
+                if len(self.audit_log) > audited:
+                    steps.add((self.audit_log[-1]["script"], type(action[0])))
+                return action
+
+        cop = Logged(og)
+        cop.memory = (frozenset({17, 19}), "invariant", 0, None, None)
         start = GameState(og.parity, (2,), 17, Turn.COP)
-        capture_every_line(start, (frozenset({17, 19}), "invariant", 0, None, None), 1)
+        assert worst_robber_lines(cop, Game(og, STRONG), [start])[0] <= 6 * og.n + 30
         assert {("_walk_to_gadget", MoveTo), ("_walk_to_gadget", Push),
                 ("_gadget_arrival", MoveTo), ("_gadget_arrival", Push)} <= steps
 
@@ -174,7 +175,7 @@ class TestMatches:
     def test_k5_all_classes_capture_with_clean_audit(self):
         for rep in enumerate_orientations(complete(5), per_class=True):
             strategy = FourRegularStrategy(rep)
-            worst_robber_lines(strategy, [rep])
+            worst_line(strategy, rep)
             for entry in strategy.audit_log:
                 assert entry["invariant"] or entry["mode"] != "invariant"
 
@@ -194,7 +195,7 @@ class TestMatches:
                 return action
 
         for rep in list(enumerate_orientations(octahedron(), per_class=True))[:24]:
-            worst_robber_lines(Checked(rep), [rep])
+            worst_line(Checked(rep), rep)
 
 
 class TestPinnedBehaviour:

@@ -3,7 +3,12 @@ import itertools
 
 import pytest
 
-from pushcops.errors import BadFamilyParamsError, DisconnectedError, TooLargeError
+from pushcops.errors import (
+    BadFamilyParamsError,
+    DisconnectedError,
+    NoVertexError,
+    TooLargeError,
+)
 from pushcops.generators import (
     circulant,
     complete,
@@ -107,7 +112,14 @@ class TestEnumeration:
     @pytest.mark.parametrize("max_degree", [None, 2, 3, 4])
     @pytest.mark.parametrize("n", range(6))
     def test_stream_matches_from_edges_over_every_mask(self, n, max_degree):
-        """Oracle: the validating constructor over every edge mask, ascending."""
+        """Oracle: the validating constructor over every edge mask, ascending.
+        With no vertex there is no graph, and both refuse n."""
+        if n == 0:
+            with pytest.raises(NoVertexError):
+                UnderlyingGraph.from_edges(n, [])
+            with pytest.raises(NoVertexError):
+                next(enumerate_connected_graphs(n, max_degree))
+            return
         slots = list(itertools.combinations(range(n), 2))
         expected = []
         for mask in range(1 << len(slots)):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from pushcops.errors import (
     DisconnectedError,
     DuplicateEdgeError,
+    NoVertexError,
     SelfLoopError,
     TwoCycleError,
     VertexOutOfRangeError,
@@ -127,6 +128,11 @@ class TestArcFormat:
     def test_arc_count_mismatch(self):
         with pytest.raises(ValueError):
             parse_arcs("3 3\n0 1\n1 2\n")
+
+    @pytest.mark.parametrize("header", ["-1 0", "0 0"])
+    def test_vertex_count_below_one(self, header):
+        with pytest.raises(NoVertexError, match="at least one vertex"):
+            parse_arcs(header + "\n")
 
 
 class TestPushAlgebra:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pushcops.engine import GameVariant, Push, PushAbility, play_match
+from pushcops.engine import Game, GameVariant, Push, PushAbility, play_match
 from pushcops.errors import NotSingleSourceDagError, RobberNotTrappedError
 from pushcops.generators import complete, enumerate_orientations, octahedron
 from pushcops.graph import is_dag, reachable_from, validate_graph
@@ -91,7 +91,8 @@ class TestStrongPushDag:
         assert solve_game(og, GameVariant(PushAbility.STRONG, 1)).root_win
         strategy = StrongPushDagStrategy(og)
         budget = strategy.push_budget + (n - 1) + 2 * (n - 1)
-        assert worst_robber_lines(strategy, [og])[og.parity] <= budget
+        game = Game(og, GameVariant(PushAbility.STRONG, 1))
+        assert worst_robber_lines(strategy, game, [game.initial_state()])[0] <= budget
         # the strategy's chosen target is the normalized acyclic class member
         dag, _ = normalize_single_source(target)
         assert is_dag(strategy.target)[0]

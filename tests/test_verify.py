@@ -3,11 +3,23 @@ import sys
 import pytest
 
 from pushcops import pushdag, strategies, verify
-from pushcops.engine import MoveTo, PushAbility, Turn
+from pushcops.engine import (
+    Game,
+    GameVariant,
+    MoveTo,
+    PlaceCops,
+    Push,
+    PushAbility,
+    Stay,
+    Turn,
+    play_match,
+)
 from pushcops.errors import InternalInvariantViolation
 from pushcops.four_regular import FourRegularStrategy
 from pushcops.generators import complete, enumerate_orientations
+from pushcops.graph import validate_graph
 from pushcops.solver import SolveResult
+from pushcops.strategies import StayRobber, Strategy, TrapCaptureStrategy
 
 
 class TestTheoremDag:
@@ -105,6 +117,58 @@ class TestPushdagProps:
         assert not verify.suite_pushdag_props(max_n=3).passed
 
 
+class TestTrap:
+    def test_push_beside_the_robber_fails(self, monkeypatch):
+        """A cop that pushes its own vertex next to the trapped robber, giving
+        it an exit, and then steps off still captures a robber that stays
+        within 2*dist, but not one that takes the exit."""
+        # the robber on 2 is trapped by 1 -> 2 and 3 -> 2; the cop starts on 0
+        og = validate_graph(4, [(0, 1), (1, 2), (3, 1), (3, 2)])
+
+        class PushesBesideTheRobber(Strategy):
+            def __init__(self, og, cop, robber):
+                pass
+
+            def __call__(self, game, state):
+                if state.turn is Turn.COP_PLACEMENT:
+                    return PlaceCops((0,))
+                pos = state.cops[0]
+                if state.robber != 2:
+                    return (Stay(),)  # it left through 2 -> 1
+                if pos == 0:
+                    return (MoveTo(1),)
+                if pos == 1:  # Push(1) gives the robber the exit 2 -> 1
+                    return (MoveTo(3),) if game.orientation(state).has_arc(1, 3) else (Push(1),)
+                return (MoveTo(2),)
+
+        staying = play_match(og, PushesBesideTheRobber(og, 0, 2), StayRobber(2),
+                             GameVariant(PushAbility.WEAK))
+        assert (staying.outcome["type"], staying.outcome["round"]) == ("captured", 4)
+        monkeypatch.setattr(verify, "random_trapped_instance", lambda rng, n: (og, 0, 2))
+        monkeypatch.setattr(verify, "TrapCaptureStrategy", PushesBesideTheRobber)
+        res = verify.suite_trap()
+        assert not res.passed and res.repro is og
+        assert res.failures[0].startswith("trap capture: InternalInvariantViolation:"
+                                          " robber line never ends")
+
+    def test_rounds_match_the_stay_robber_match(self, monkeypatch):
+        """On the suite's seeded instances, the worst robber line from the
+        cop's first turn lasts exactly as long as the match against a robber
+        that stays: a trapped robber has no other move."""
+        instances, rounds = [], []
+        real_instance, real_lines = verify.random_trapped_instance, verify.worst_robber_lines
+        monkeypatch.setattr(verify, "random_trapped_instance",
+                            lambda rng, n: instances.append(real_instance(rng, n)) or instances[-1])
+        monkeypatch.setattr(verify, "worst_robber_lines",
+                            lambda *args: rounds.extend(real_lines(*args)) or rounds[-1:])
+        assert verify.suite_trap().passed
+        assert len(instances) == len(rounds) == 1000
+        for (og, cop, robber), worst in zip(instances, rounds):
+            trace = play_match(og, TrapCaptureStrategy(og, cop, robber), StayRobber(robber),
+                               GameVariant(PushAbility.WEAK))
+            assert (trace.outcome["type"], trace.outcome["round"]) == ("captured", worst)
+
+
 class TestMonotonic:
     @staticmethod
     def lose_at_parity_1(monkeypatch, push, max_cops):
@@ -180,6 +244,9 @@ class TestStrategy4Regular:
     @pytest.mark.parametrize("name,worst", [("K5", 3), ("octahedron", 8)])
     def test_worst_line_over_class_representatives(self, name, worst):
         g = dict(verify.four_regular_families())[name]
-        rounds = [verify.worst_robber_lines(FourRegularStrategy(rep), [rep])[rep.parity]
-                  for rep in enumerate_orientations(g, per_class=True)]
+        rounds = []
+        for rep in enumerate_orientations(g, per_class=True):
+            game = Game(rep, verify.STRONG_1)
+            rounds += verify.worst_robber_lines(FourRegularStrategy(rep), game,
+                                                [game.initial_state()])
         assert max(rounds) == worst
