@@ -15,7 +15,7 @@ from .engine import GameVariant, PushAbility, play_match
 from .errors import InternalInvariantViolation, NotCopWinError, PushcopsError
 from .four_regular import FourRegularStrategy
 from .graph import parse_arcs, serialize_arcs
-from .pushdag import dag_push_target, find_dag_push_set, normalize_single_source
+from .pushdag import find_dag_push_set, normalize_single_source
 from .solver import OptimalCop, OptimalRobber, solve_game
 from .strategies import (
     ManualStrategy,
@@ -112,7 +112,7 @@ def cmd_pushdag(args) -> int:
         return 2
     print(f"push set: {' '.join(map(str, pushes)) or '(empty)'}")
     if args.normalize:
-        dag, seq = normalize_single_source(dag_push_target(og))
+        dag, seq = normalize_single_source(og.push_many(pushes))
         print(f"normalization pushes: {' '.join(map(str, seq)) or '(empty)'}")
         print(serialize_arcs(dag), end="")
     return 0
@@ -230,6 +230,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit2 as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:  # reads are caught where they happen, so this is a write
+        print(f"error: cannot write {exc.filename or 'output'}: {exc.strerror}", file=sys.stderr)
         return 1
     except (InternalInvariantViolation, AssertionError) as exc:
         print(f"internal assertion failed: {exc}", file=sys.stderr)

@@ -255,36 +255,19 @@ def validate_graph(n: int, arcs: Sequence[tuple[int, int]]) -> OrientedGraph:
     return OrientedGraph(g, ref, 0)
 
 
-def is_dag(og: OrientedGraph) -> tuple[bool, list[int]]:
-    """Acyclicity check.
-
-    Returns (True, topological order) or (False, directed cycle).
-    """
-    n = og.n
+def is_dag(og: OrientedGraph) -> bool:
+    """True when `og` has no directed cycle: Kahn's algorithm removes every vertex."""
     outs, ins = og._tables
     indeg = [len(a) for a in ins]
-    order = [v for v in range(n) if indeg[v] == 0]
-    i = 0
-    while i < len(order):
-        v = order[i]
-        i += 1
-        for w in outs[v]:
+    ready = [v for v, d in enumerate(indeg) if d == 0]
+    removed = 0
+    while ready:
+        removed += 1
+        for w in outs[ready.pop()]:
             indeg[w] -= 1
             if indeg[w] == 0:
-                order.append(w)
-    if len(order) == n:
-        return True, order
-    # every leftover vertex keeps an unprocessed in-neighbor, so walking
-    # backward until a vertex repeats always finds a directed cycle
-    left = set(range(n)) - set(order)
-    v = min(left)
-    seen: dict[int, int] = {}
-    walk = []
-    while v not in seen:
-        seen[v] = len(walk)
-        walk.append(v)
-        v = next(w for w in ins[v] if w in left)
-    return False, walk[seen[v]:][::-1]
+                ready.append(w)
+    return removed == og.n
 
 
 def reachable_from(og: OrientedGraph, u: int) -> frozenset[int]:

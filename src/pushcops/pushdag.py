@@ -35,8 +35,7 @@ def growth_rounds(og: OrientedGraph) -> Iterator[tuple[OrientedGraph, Reachabili
     orientation a DAG with source u, loses no reachable vertex and absorbs the
     whole boundary every round.
     """
-    ok, _ = is_dag(og)
-    if not ok:
+    if not is_dag(og):
         raise NotADagError("reachability growth requires a DAG")
     u = min(v for v in range(og.n) if og.in_degree(v) == 0)
     part = reachability_partition(og, u)
@@ -78,7 +77,7 @@ def find_dag_push_set(og: OrientedGraph) -> list[int] | None:
         raise TooLargeError(f"n={og.n} exceeds search cap {MAX_SEARCH_VERTICES}", og.n)
     for parity in range(1 << max(og.n - 1, 0)):
         member = og.with_parity(parity)
-        if is_dag(member)[0]:
+        if is_dag(member):
             return push_delta(og, member)
     return None
 

@@ -17,7 +17,7 @@ from .errors import (
 )
 from .engine import Game, GameState, MoveTo, PlaceCops, PlaceRobber, Push, Stay, Turn
 from .graph import OrientedGraph, UnderlyingGraph, is_dag, is_trapped, reachable_from
-from .pushdag import dag_push_target, normalize_single_source, push_delta, single_source
+from .pushdag import dag_push_target, normalize_single_source, single_source
 
 
 class Strategy:
@@ -69,7 +69,7 @@ class DagChaseStrategy(Strategy):
     reachable region every move."""
 
     def __init__(self, og: OrientedGraph, cop: int):
-        if single_source(og) != cop or not is_dag(og)[0]:
+        if single_source(og) != cop or not is_dag(og):
             raise NotSingleSourceDagError(
                 f"vertex {cop} is not the unique source of a DAG orientation"
             )
@@ -98,7 +98,6 @@ class StrongPushDagStrategy(Strategy):
     def __init__(self, og: OrientedGraph):
         self._chase = _class_dag_chase(og.graph, og.ref_bits)
         self.target, self.source = self._chase.og, self._chase.cop
-        self.push_budget = len(push_delta(og, self.target))
         # None, or the path of the trap walk once entered; the push phase and
         # the chase are positional, since the target is the class's
         self.memory: tuple[int, ...] | None = None
@@ -111,8 +110,10 @@ class StrongPushDagStrategy(Strategy):
             self.memory = tuple(og.graph.shortest_path(_cop_pos(state), state.robber))
         if self.memory is not None:
             return trap_walk(game, state, self.memory)
-        if og.parity != self.target.parity:
-            return (Push(push_delta(og, self.target)[0]),) + (Stay(),) * (game.variant.cops - 1)
+        diff = og.parity ^ self.target.parity
+        if diff:
+            # the lowest vertex whose push the target still needs: bit v-1 is vertex v
+            return (Push((diff & -diff).bit_length()),) + (Stay(),) * (game.variant.cops - 1)
         return self._chase(game, state)
 
 

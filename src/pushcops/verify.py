@@ -19,9 +19,11 @@ from .errors import (
     InternalInvariantViolation,
     NotADagError,
     NotPushableToDagError,
+    TooLargeError,
 )
 from .four_regular import FourRegularStrategy
 from .generators import (
+    MAX_ENUM_VERTICES,
     circulant,
     complete,
     enumerate_connected_graphs,
@@ -65,8 +67,13 @@ class SuiteResult:
 
 
 def _connected_graphs(max_n: int):
-    for n in range(1, max_n + 1):
-        yield from enumerate_connected_graphs(n)
+    """The labeled connected graphs on 1..max_n vertices; a max_n outside
+    1..MAX_ENUM_VERTICES raises here, before the suite does any work."""
+    if max_n < 1:
+        raise BadFamilyParamsError(f"max_n must be at least 1, got {max_n}")
+    if max_n > MAX_ENUM_VERTICES:
+        raise TooLargeError(f"n={max_n} exceeds enumeration cap {MAX_ENUM_VERTICES}", max_n)
+    return (g for n in range(1, max_n + 1) for g in enumerate_connected_graphs(n))
 
 
 STRONG_1 = GameVariant(PushAbility.STRONG, 1)
@@ -132,12 +139,13 @@ def suite_theorem_dag(max_n: int = 5) -> SuiteResult:
     worst_by_n: dict[int, int] = {}
     excess_by_n: dict[int, int] = {}
     for g in _connected_graphs(max_n):
-        for rep, solved in _one_cop_classes(g):
+        for rep in enumerate_orientations(g, per_class=True):
             try:
-                # its target is the class's, so it serves every member
+                # the class's DAG scan; its target serves every member
                 cop = StrongPushDagStrategy(rep)
             except NotPushableToDagError:
                 continue
+            solved = solve_game(rep, STRONG_1)
             members = []
             for p, win in solved.member_wins().items():
                 members.append(rep.with_parity(p))
@@ -268,7 +276,7 @@ def suite_pushdag_props(max_n: int = 5) -> SuiteResult:
                 if number > g.n - 1:
                     res.fail("normalization exceeded n-1 growth rounds", og)
                     break
-                if not is_dag(current)[0]:
+                if not is_dag(current):
                     res.fail("growth round broke acyclicity", og)
                     break
                 if current.in_degree(part.source) != 0:

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from pushcops import solver, verify
+from pushcops import pushdag, solver, verify
 from pushcops.cli import main
 from pushcops.engine import GameVariant, PushAbility, Trace, play_match
 from pushcops.errors import BadFamilyParamsError
@@ -82,6 +82,17 @@ class TestPushdag:
         assert "push set: 1" in out
         dag = parse_arcs(out[out.index("3 3"):])
         assert sum(1 for v in range(3) if dag.in_degree(v) == 0) == 1  # unique source
+
+    def test_normalize_scans_the_class_once(self, tmp_path, monkeypatch, capsys):
+        real = pushdag.find_dag_push_set
+        calls = []
+        # every pushcops module that holds find_dag_push_set, pushcops.cli among them
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("pushcops") and getattr(mod, "find_dag_push_set", None) is real:
+                monkeypatch.setattr(mod, "find_dag_push_set",
+                                    lambda og: calls.append(og) or real(og))
+        assert main(["pushdag", "--input", triangle_file(tmp_path), "--normalize"]) == 0
+        assert len(calls) == 1
 
     def test_non_pushable_exit_2(self, tmp_path, capsys):
         blocked = next(
@@ -284,6 +295,11 @@ class TestVerify:
         assert main(["verify", "trap", "--max-n", "1"]) == 1
         assert "max_n >= 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("max_n", ["0", "-1"])
+    def test_max_n_below_one_exit_1(self, capsys, max_n):
+        assert main(["verify", "monotonic", "--max-n", max_n]) == 1
+        assert "max_n must be at least 1" in capsys.readouterr().err
+
     def test_open_problem_repro_written_on_pass(self, monkeypatch, tmp_path, capsys):
         # an uncovered loss passes the suite but is still written out
         monkeypatch.chdir(tmp_path)
@@ -300,3 +316,37 @@ class TestVerify:
     def test_every_suite_passes(self, name, capsys):
         assert main(["verify", name, "--max-n", "3"]) == 0
         assert ": pass (" in capsys.readouterr().out
+
+
+class TestUnwritablePath:
+    """A file that cannot be written exits 1 with one error line, not a traceback."""
+
+    @staticmethod
+    def refused(capsys, path) -> bool:
+        err = capsys.readouterr().err
+        return err.startswith(f"error: cannot write {path}") and "Traceback" not in err
+
+    def test_play_trace(self, tmp_path, capsys):
+        path = tmp_path / "missing" / "t.json"
+        assert main(["play", "--input", triangle_file(tmp_path), "--trace", str(path)]) == 1
+        assert self.refused(capsys, path)
+
+    def test_gen_out(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x"
+        assert main(["gen", "--family", "cycle", "--params", "n=3", "--out", str(out)]) == 1
+        assert self.refused(capsys, out)
+
+    def test_sweep_out(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text("{}")
+        out = tmp_path / "missing" / "r"
+        assert main(["sweep", "--spec", str(spec), "--out", str(out)]) == 1
+        assert self.refused(capsys, f"{out}.csv")
+
+    def test_verify_repro(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "one-cop-failure.arcs").mkdir()  # the repro's name, taken
+        monkeypatch.setattr(solver.SolveResult, "member_wins",
+                            lambda self: {p: p != 1 for p in self.arena.parities})
+        assert main(["verify", "one-cop", "--max-n", "2"]) == 1
+        assert self.refused(capsys, "one-cop-failure.arcs")

@@ -14,7 +14,7 @@ from pushcops.engine import (
     Turn,
     play_match,
 )
-from pushcops.errors import InternalInvariantViolation
+from pushcops.errors import InternalInvariantViolation, TooLargeError
 from pushcops.four_regular import FourRegularStrategy
 from pushcops.generators import complete, enumerate_orientations
 from pushcops.graph import validate_graph
@@ -42,9 +42,27 @@ class TestTheoremDag:
         for name, mod in list(sys.modules.items()):
             if name.startswith("pushcops") and getattr(mod, "find_dag_push_set", None) is real:
                 monkeypatch.setattr(mod, "find_dag_push_set", counting)
+        solve, solved = verify.solve_game, []
+        monkeypatch.setattr(verify, "solve_game",
+                            lambda og, variant: solved.append(og) or solve(og, variant))
         strategies._class_dag_chase.cache_clear()
         assert verify.suite_theorem_dag(max_n=4).passed
         assert len(calls) == 85  # the push classes of the connected graphs on at most 4 vertices
+        # the scan comes first, so only the 83 classes that hold a DAG are
+        # solved; K4's other two are not
+        assert len(solved) == 83
+
+
+class TestMaxN:
+    @pytest.mark.parametrize("name", ["theorem-dag", "one-cop", "pushdag-props", "monotonic"])
+    def test_over_the_cap_raises_before_any_work(self, monkeypatch, name):
+        monkeypatch.setattr(verify, "MAX_ENUM_VERTICES", 3)
+        calls = []
+        monkeypatch.setattr(verify, "enumerate_orientations",
+                            lambda g, per_class=False: calls.append(g) or iter(()))
+        with pytest.raises(TooLargeError):
+            verify.SUITES[name](max_n=4)
+        assert calls == []
 
 
 class TestOneCopSuites:
