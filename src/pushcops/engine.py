@@ -86,11 +86,6 @@ class PlaceRobber:
     vertex: int
 
 
-# a cop round is one agent action (Stay, MoveTo or Push) per cop, resolved
-# in cop-index order
-CopRound = tuple
-
-
 # trace JSON "type" of each action class; the other keys are its fields
 _ACTION_KINDS = {
     "stay": Stay,
@@ -207,7 +202,7 @@ class Game:
         if turn is not Turn.COP:
             raise WrongTurnError(str(turn))
         k = self.variant.cops
-        rounds: list[tuple[CopRound, GameState]] = []
+        rounds: list[tuple[tuple, GameState]] = []
 
         def expand(i: int, parity: int, positions: tuple[int, ...], prefix: tuple) -> None:
             if i == k:

@@ -190,18 +190,16 @@ def random_orientation(g: UnderlyingGraph, seed: int) -> OrientedGraph:
     return OrientedGraph(g, rng.getrandbits(g.m) if g.m else 0, 0)
 
 
-def is_k_degenerate(g: UnderlyingGraph, k: int) -> tuple[bool, list[int]]:
-    """Greedy minimum-degree peeling; returns (verdict, elimination order)."""
+def is_k_degenerate(g: UnderlyingGraph, k: int) -> bool:
+    """Whether greedy minimum-degree peeling removes every vertex at degree <= k."""
     remaining = set(range(g.n))
     deg = {v: g.degree(v) for v in remaining}
-    order = []
     while remaining:
         v = min(remaining, key=lambda w: (deg[w], w))
         if deg[v] > k:
-            return False, order
-        order.append(v)
+            return False
         remaining.remove(v)
         for w in g.adj[v]:
             if w in remaining:
                 deg[w] -= 1
-    return True, order
+    return True

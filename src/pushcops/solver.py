@@ -214,10 +214,6 @@ class BitLayout:
         moves = [(list(up.items()), list(down.items())) for up, down in zip(ups, downs)]
         self.robber_moves, self.cop_moves = moves[0], moves[1:]
 
-    def capture(self) -> int:
-        """Positions with the robber on some cop's vertex."""
-        return self.frame.capture
-
     def robber_pre(self, won: int) -> int:
         """Positions where the robber, to move, can only stay or move into `won`."""
         lost = self.frame.full ^ won
@@ -283,7 +279,7 @@ def fixpoint(layout: BitLayout) -> tuple[tuple[list[bytes], list[bytes]], int]:
     are monotone in their input, so an input unchanged since the side's last
     evaluation gives back a set already OR-ed into the side's won set.
     """
-    target = layout.capture()
+    target = layout.frame.capture
     won_cop = won_robber = target
     planes: tuple[list[int], list[int]] = ([target], [target])  # level 0 is value 1
     rounds = 0

@@ -27,10 +27,6 @@ class Strategy:
         raise NotImplementedError
 
 
-def _cop_pos(state: GameState) -> int:
-    return state.cops[0]
-
-
 class TrapCaptureStrategy(Strategy):
     """Walk a shortest underlying path to a trapped robber.
 
@@ -53,7 +49,7 @@ class TrapCaptureStrategy(Strategy):
 
 def trap_walk(game: Game, state: GameState, path: tuple[int, ...]):
     """One cop round of the walk along `path` to the robber trapped at its end."""
-    pos = _cop_pos(state)
+    pos = state.cops[0]
     nxt = path[path.index(pos) + 1]
     if game.orientation(state).has_arc(pos, nxt):
         act = MoveTo(nxt)
@@ -80,7 +76,7 @@ class DagChaseStrategy(Strategy):
     def __call__(self, game: Game, state: GameState):
         if state.turn is Turn.COP_PLACEMENT:
             return PlaceCops((self.cop,) * game.variant.cops)
-        pos = _cop_pos(state)
+        pos = state.cops[0]
         r = state.robber
         if r not in self.reach[pos]:
             raise InternalInvariantViolation("robber escaped the cop's reachable set")
@@ -107,7 +103,7 @@ class StrongPushDagStrategy(Strategy):
             return PlaceCops((self.source,) * game.variant.cops)
         og = game.orientation(state)
         if self.memory is None and is_trapped(og, state.robber):
-            self.memory = tuple(og.graph.shortest_path(_cop_pos(state), state.robber))
+            self.memory = tuple(og.graph.shortest_path(state.cops[0], state.robber))
         if self.memory is not None:
             return trap_walk(game, state, self.memory)
         diff = og.parity ^ self.target.parity

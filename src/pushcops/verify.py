@@ -177,7 +177,7 @@ def suite_theorem_dag(max_n: int = 5) -> SuiteResult:
 
 def one_cop_theorems(g: UnderlyingGraph) -> tuple[str, ...]:
     """The paper's theorems by which one strong-push cop wins every orientation of `g`."""
-    covers = {"3-degenerate": is_k_degenerate(g, 3)[0], "max-degree-4": g.max_degree() <= 4}
+    covers = {"3-degenerate": is_k_degenerate(g, 3), "max-degree-4": g.max_degree() <= 4}
     return tuple(name for name, covered in covers.items() if covered)
 
 
@@ -229,32 +229,44 @@ def four_regular_families() -> list[tuple[str, UnderlyingGraph]]:
 
 def suite_strategy_4regular(max_n: int = 5) -> SuiteResult:
     """The scripted 4-regular strategy captures the robber on every robber
-    line: from every orientation of the families with n <= max_n and from
-    every push-class representative of the larger ones."""
+    line, never sooner than the solver's optimum: from every orientation of
+    the families with n <= max_n and from every push-class representative of
+    the larger ones.  One strategy and one search serve a push class: the
+    strategy's constructor reads only degrees, each start begins from its
+    fresh memory, and the memo keys on the parity."""
+    if max_n < 1:
+        raise BadFamilyParamsError(f"max_n must be at least 1, got {max_n}")
     res = SuiteResult("strategy-4regular")
     for name, g in four_regular_families():
-        checked = worst = 0
-        fired: Counter = Counter()  # orientations on which each script ran on some line
+        checked = worst = excess = 0
+        fired: Counter = Counter()  # push classes in which each script ran on some line
         for rep, solved in _one_cop_classes(g):
+            members = []
             for p, win in solved.member_wins().items():
-                og = rep.with_parity(p)
                 if not win:
-                    res.fail(f"{name}: solver says one strong-push cop loses", og)
-                    continue
-                if g.n > max_n and p:
-                    continue
-                checked += 1
-                cop = FourRegularStrategy(og)
-                game = Game(og, STRONG_1)
-                try:
-                    worst = max(worst, *worst_robber_lines(cop, game, [game.initial_state()]))
-                except (InternalInvariantViolation, IllegalStrategyActionError) as exc:
-                    res.fail(f"{name}: {type(exc).__name__}: {exc}", og)
-                fired.update({e["script"] or "dispatch" for e in cop.audit_log})
+                    res.fail(f"{name}: solver says one strong-push cop loses", rep.with_parity(p))
+                elif g.n <= max_n or not p:
+                    members.append(p)
+            checked += len(members)
+            cop = FourRegularStrategy(rep)
+            try:
+                rounds = worst_robber_lines(cop, Game(rep, STRONG_1), [
+                    GameState(p, None, None, Turn.COP_PLACEMENT) for p in members])
+            except (InternalInvariantViolation, IllegalStrategyActionError) as exc:
+                res.fail(f"{name}: {type(exc).__name__}: {exc}", rep)
+                rounds = []
+            fired.update({e["script"] or "dispatch" for e in cop.audit_log})
+            for p, line in zip(members, rounds):
+                optimum = solved.member_rounds(p)
+                if line < optimum:
+                    res.fail(f"{name}: worst robber line took {line} rounds, under the solver"
+                             f" optimum {optimum}", rep.with_parity(p))
+                worst, excess = max(worst, line), max(excess, line - optimum)
         res.checked += checked
         res.findings.append(
-            f"{name}: every robber line from {checked} orientations captured"
-            f" within {worst} rounds; orientations per script {dict(sorted(fired.items()))}"
+            f"{name}: every robber line from {checked} orientations captured within {worst}"
+            f" rounds, at most {excess} over the solver optimum;"
+            f" push classes per script {dict(sorted(fired.items()))}"
         )
     return res
 
@@ -348,7 +360,8 @@ def suite_monotonic(max_n: int = 5) -> SuiteResult:
     each searched up to MONOTONIC_K_MAX cops.  c_wp and c_sp come from one
     `cop_numbers` search per push class; each member's pushless c only up to
     c_wp - 1 (MONOTONIC_K_MAX when c_wp is None), the only c for which "c_wp
-    exceeds c" can fail, so failures and messages match a full search."""
+    exceeds c" can fail, so failures and messages match a full search and a
+    member with c_wp = 1 is never built."""
     res = SuiteResult("monotonic")
     c_wp_seen: Counter = Counter()
     searched = 0
@@ -356,18 +369,18 @@ def suite_monotonic(max_n: int = 5) -> SuiteResult:
         for rep in enumerate_orientations(g, per_class=True):
             weak = cop_numbers(rep, PushAbility.WEAK, MONOTONIC_K_MAX)
             strong = cop_numbers(rep, PushAbility.STRONG, MONOTONIC_K_MAX)
+            res.checked += len(weak)
+            c_wp_seen.update(weak.values())
             for p, c_wp in weak.items():
-                member = rep.with_parity(p)
-                res.checked += 1
-                c_wp_seen[c_wp] += 1
                 limit = MONOTONIC_K_MAX if c_wp is None else c_wp - 1
-                searched += limit > 0
-                c = cop_numbers(member, PushAbility.NONE, limit).get(p)
-                if c is not None:  # searched only below c_wp
-                    res.fail(f"c_wp={c_wp} exceeds c={c}", member)
+                if limit > 0:
+                    searched += 1
+                    c = cop_numbers(rep.with_parity(p), PushAbility.NONE, limit).get(p)
+                    if c is not None:
+                        res.fail(f"c_wp={c_wp} exceeds c={c}", rep.with_parity(p))
                 c_sp = strong[p]
                 if c_wp is not None and (c_sp is None or c_sp > c_wp):
-                    res.fail(f"c_sp={c_sp} exceeds c_wp={c_wp}", member)
+                    res.fail(f"c_sp={c_sp} exceeds c_wp={c_wp}", rep.with_parity(p))
     res.findings.append(f"c_wp histogram {dict(sorted(c_wp_seen.items(), key=repr))};"
                         f" pushless searches on {searched} of {res.checked} members")
     return res

@@ -1,25 +1,31 @@
 import io
 import json
 import sys
+from collections import Counter
 
 import pytest
 
 from pushcops import pushdag, solver, verify
 from pushcops.cli import main
-from pushcops.engine import GameVariant, PushAbility, Trace, play_match
-from pushcops.errors import BadFamilyParamsError
+from pushcops.engine import GameVariant, PlaceRobber, PushAbility, Trace, play_match
+from pushcops.errors import BadFamilyParamsError, InternalInvariantViolation
 from pushcops.generators import (
     circulant,
     complete,
+    complete_multipartite,
     cycle,
+    enumerate_connected_graphs,
     enumerate_orientations,
+    grid,
+    octahedron,
+    path,
     random_orientation,
 )
 from pushcops.graph import parse_arcs, serialize_arcs, validate_graph
 from pushcops.pushdag import find_dag_push_set
 from pushcops.solver import solve_game
-from pushcops.strategies import ManualStrategy, RandomRobber
-from pushcops.sweep import CSV_HEADER, run_sweep
+from pushcops.strategies import ManualStrategy, RandomRobber, StrongPushDagStrategy
+from pushcops.sweep import CSV_HEADER, SweepReport, build_family, run_sweep, write_report
 
 from conftest import same_orientation
 
@@ -152,6 +158,23 @@ class TestPlay:
             "error: solver verdict is robber-win at this cop count\n"
         )
 
+    def test_dag_cop_against_staying_robber(self, tmp_path, capsys):
+        # the directed triangle's push class holds a DAG; the robber waits on 1
+        trace_path = tmp_path / "match.json"
+        assert main(["play", "--input", triangle_file(tmp_path), "--cop", "dag",
+                     "--robber", "stay", "--robber-start", "1", "--trace", str(trace_path)]) == 0
+        assert json.loads(capsys.readouterr().out)["outcome"]["type"] == "captured"
+        placement = Trace.from_json(trace_path.read_text()).rounds[1]
+        assert (placement.actor, placement.action) == ("robber", PlaceRobber(1))
+
+    def test_internal_assertion_exit_3(self, tmp_path, monkeypatch, capsys):
+        def broken(self, game, state):
+            raise InternalInvariantViolation("no case applies")
+
+        monkeypatch.setattr(StrongPushDagStrategy, "__call__", broken)
+        assert main(["play", "--input", triangle_file(tmp_path), "--cop", "dag"]) == 3
+        assert capsys.readouterr().err == "internal assertion failed: no case applies\n"
+
 
 class TestManualStrategy:
     def test_scripted_match(self):
@@ -247,6 +270,40 @@ class TestSweep:
         assert errors[0]["iterations"] == errors[0]["max_level"] == ""
         assert clean[0]["iterations"] >= 1 and clean[0]["max_level"] >= 1
 
+    @pytest.mark.parametrize("family,params,expected", [
+        ("complete", {"n": 3}, [("complete-3", complete(3))]),
+        ("path", {"n": 4}, [("path-4", path(4))]),
+        ("complete_multipartite", {"sizes": [2, 3]},
+         [("multipartite-2.3", complete_multipartite((2, 3)))]),
+        ("octahedron", {}, [("octahedron", octahedron())]),
+        ("grid", {"rows": 2, "cols": 3}, [("grid-2x3", grid(2, 3))]),
+        ("connected", {"n": 3},
+         [(f"connected-3-{i}", g) for i, g in enumerate(enumerate_connected_graphs(3))]),
+        ("connected", {"n": 4, "max_degree": 2},
+         [(f"connected-4-{i}", g) for i, g in enumerate(enumerate_connected_graphs(4, 2))]),
+    ], ids=["complete", "path", "complete_multipartite", "octahedron", "grid", "connected",
+            "connected-max-degree"])
+    def test_build_family(self, family, params, expected):
+        assert list(build_family(family, params)) == expected
+
+    def test_robber_win_rows_over_every_orientation(self):
+        # without pushes one cop loses only the two directed triangles
+        report = run_sweep({"jobs": [{"family": "cycle", "params": {"n": 3},
+                                      "orient": "enumerate", "push": "none", "k_max": 1}]})
+        assert len({r["instance_id"] for r in report.rows}) == 8
+        assert Counter((r["verdict"], r["cop_number"]) for r in report.rows) == {
+            ("cop-win", 1): 6, ("robber-win", ">1"): 2}
+        assert report.flagged == []  # only strong-push rows are flagged
+
+    def test_flagged_orientation_written(self, tmp_path):
+        og = validate_graph(3, [(0, 1), (1, 2), (2, 0)])
+        prefix = str(tmp_path / "rep")
+        paths = write_report(SweepReport(flagged=[og]), prefix)
+        assert paths == [f"{prefix}.csv", f"{prefix}.json", f"{prefix}-flagged-0.arcs"]
+        assert same_orientation(parse_arcs((tmp_path / "rep-flagged-0.arcs").read_text()), og)
+        assert json.loads((tmp_path / "rep.json").read_text())["aggregate"][
+            "strong_push_above_one"] == 1
+
     def test_k_max_below_one_rejected(self):
         job = {"family": "cycle", "params": {"n": 3}, "orient": "random", "k_max": 0}
         with pytest.raises(BadFamilyParamsError):
@@ -282,8 +339,9 @@ class TestVerify:
     def test_max_n_reaches_strategy_4regular(self, monkeypatch, capsys):
         # the 64 push classes of K5 give 1,024 orientations
         monkeypatch.setattr(verify, "four_regular_families", lambda: [("K5", complete(5))])
+        # every line at 99 rounds: above any solver optimum on K5
         monkeypatch.setattr(verify, "worst_robber_lines",
-                            lambda cop, game, starts: [0] * len(starts))
+                            lambda cop, game, starts: [99] * len(starts))
         assert main(["verify", "strategy-4regular", "--max-n", "4"]) == 0
         assert "(64 checks)" in capsys.readouterr().out
         assert main(["verify", "strategy-4regular", "--max-n", "5"]) == 0
@@ -296,9 +354,14 @@ class TestVerify:
         assert "max_n >= 2" in capsys.readouterr().err
 
     @pytest.mark.parametrize("max_n", ["0", "-1"])
-    def test_max_n_below_one_exit_1(self, capsys, max_n):
-        assert main(["verify", "monotonic", "--max-n", max_n]) == 1
+    @pytest.mark.parametrize("suite", ["monotonic", "strategy-4regular"])
+    def test_max_n_below_one_exit_1(self, monkeypatch, capsys, suite, max_n):
+        solves = []
+        monkeypatch.setattr(verify, "solve_game", lambda *args: solves.append(args))
+        monkeypatch.setattr(verify, "cop_numbers", lambda *args: solves.append(args))
+        assert main(["verify", suite, "--max-n", max_n]) == 1
         assert "max_n must be at least 1" in capsys.readouterr().err
+        assert solves == []
 
     def test_open_problem_repro_written_on_pass(self, monkeypatch, tmp_path, capsys):
         # an uncovered loss passes the suite but is still written out

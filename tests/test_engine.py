@@ -113,6 +113,36 @@ class TestApply:
         pushes = [a[0].vertex for a in legal if isinstance(a[0], Push)]
         assert pushes == {"none": [], "weak": [1], "strong": [0, 1, 2]}[push.value]
 
+    @pytest.mark.parametrize("turn,action,message", [
+        (Turn.COP_PLACEMENT, PlaceRobber(0), "cop placement expects PlaceCops"),
+        (Turn.COP_PLACEMENT, PlaceCops((0, 0)), "need exactly 1 cop positions"),
+        (Turn.COP_PLACEMENT, PlaceCops((3,)), "cop position 3 out of range"),
+        (Turn.ROBBER_PLACEMENT, PlaceCops((0,)), "robber placement expects PlaceRobber"),
+        (Turn.ROBBER_PLACEMENT, PlaceRobber(3), "robber position 3 out of range"),
+        (None, (Stay(),), "game is over: robber already captured"),
+        (Turn.COP, Stay(), "cop round must be a tuple of 1 agent actions"),
+        (Turn.COP, (Stay(), Stay()), "cop round must be a tuple of 1 agent actions"),
+        (Turn.COP, (PlaceRobber(0),), "not a cop agent action"),
+        (Turn.ROBBER, MoveTo(1), "robber cannot move 2->1: not an out-neighbor"),
+        (Turn.ROBBER, (Stay(),), "not a robber action"),
+    ], ids=["cop-placement-type", "cop-placement-count", "cop-placement-range",
+            "robber-placement-type", "robber-placement-range", "captured", "cop-round-type",
+            "cop-round-length", "cop-round-agent", "robber-move", "robber-action-type"])
+    def test_rejects_with_reason(self, turn, action, message):
+        """One cop on 0 of the triangle 0->1->2->0; the robber placed on 2,
+        or on 0 for the captured state (turn None)."""
+        game = Game(triangle(), GameVariant(PushAbility.STRONG, 1))
+        state = game.initial_state()
+        if turn is not Turn.COP_PLACEMENT:
+            state = game.apply(state, PlaceCops((0,)))
+        if turn in (Turn.COP, Turn.ROBBER, None):
+            state = game.apply(state, PlaceRobber(0 if turn is None else 2))
+        if turn is Turn.ROBBER:
+            state = game.apply(state, (Stay(),))
+        assert state.turn is (turn or Turn.COP)
+        with pytest.raises(IllegalActionError, match=message):
+            game.apply(state, action)
+
     def test_unsorted_cop_placement_rejected(self):
         game = Game(triangle(), GameVariant(PushAbility.NONE, 2))
         with pytest.raises(IllegalActionError):

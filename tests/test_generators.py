@@ -188,19 +188,24 @@ class TestOrientations:
 
 class TestDegeneracy:
     def test_octahedron_not_3_degenerate(self):
-        ok, order = is_k_degenerate(octahedron(), 3)
-        assert not ok and order == []
+        assert not is_k_degenerate(octahedron(), 3)
 
     def test_tree_is_1_degenerate(self):
-        ok, _ = is_k_degenerate(path(6), 1)
-        assert ok
+        assert is_k_degenerate(path(6), 1)
 
-    def test_grid_is_2_degenerate_with_valid_witness(self):
+    def test_grid_is_2_degenerate(self):
         g = grid(3, 3)
-        ok, order = is_k_degenerate(g, 2)
-        assert ok
-        remaining = set(range(g.n))
-        for v in order:  # replay the peel
-            assert sum(1 for w in g.adj[v] if w in remaining) <= 2
-            remaining.remove(v)
-        assert not remaining
+        assert is_k_degenerate(g, 2) and not is_k_degenerate(g, 1)
+
+    def test_verdict_matches_subset_oracle(self):
+        """g is k-degenerate iff every nonempty vertex subset induces a vertex
+        of degree <= k: checked on every connected graph with n <= 5."""
+        for n in range(1, 6):
+            for g in enumerate_connected_graphs(n):
+                # the degeneracy: the largest minimum degree of an induced subgraph
+                degeneracy = max(
+                    min(sum(mask >> w & 1 for w in g.adj[v]) for v in range(n) if mask >> v & 1)
+                    for mask in range(1, 1 << n)
+                )
+                for k in range(1, 5):
+                    assert is_k_degenerate(g, k) == (degeneracy <= k), (g, k)

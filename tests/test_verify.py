@@ -218,9 +218,19 @@ class TestMonotonic:
         assert res.failures == ["c_sp=2 exceeds c_wp=1"]
         assert res.repro.parity == 1
 
-    def test_counts_every_member(self):
+    def test_counts_every_member(self, monkeypatch):
+        """Every member has c_wp = 1 here, so no pushless search runs."""
+        real, pushless = verify.cop_numbers, []
+
+        def counting(og, push, k_max):
+            if push is PushAbility.NONE:
+                pushless.append(og)
+            return real(og, push, k_max)
+
+        monkeypatch.setattr(verify, "cop_numbers", counting)
         res = verify.suite_monotonic(max_n=3)
         assert res.passed and res.checked == 23
+        assert pushless == []
 
 
 class TestStrategy4Regular:
@@ -240,9 +250,35 @@ class TestStrategy4Regular:
         res = verify.suite_strategy_4regular()
         assert res.passed
         assert res.findings == [
-            "K5: every robber line from 1024 orientations captured within 6 rounds;"
-            " orientations per script {'_claim_edge': 960, 'dispatch': 1024}"
+            "K5: every robber line from 1024 orientations captured within 6 rounds,"
+            " at most 4 over the solver optimum;"
+            " push classes per script {'_claim_edge': 64, 'dispatch': 64}"
         ]
+
+    def test_line_under_the_solver_optimum_fails(self, monkeypatch):
+        monkeypatch.setattr(verify, "four_regular_families", lambda: [("K5", complete(5))])
+        monkeypatch.setattr(SolveResult, "member_rounds", lambda self, parity: 9)
+        res = verify.suite_strategy_4regular()
+        assert not res.passed
+        assert res.failures[0] == (
+            "K5: worst robber line took 3 rounds, under the solver optimum 9")
+        assert res.repro.graph == complete(5)
+
+    def test_one_search_per_push_class(self, monkeypatch):
+        """704 push classes (64 + 128 + 512): one strategy and one search
+        each, over all 1,024 orientations of K5 and the octahedron's and
+        C8(1,2)'s representatives."""
+        built, starts = [], []
+        real_init = FourRegularStrategy.__init__
+        monkeypatch.setattr(FourRegularStrategy, "__init__",
+                            lambda self, og: built.append(og) or real_init(self, og))
+        # every line at 99 rounds: above any solver optimum
+        monkeypatch.setattr(verify, "worst_robber_lines",
+                            lambda cop, game, search: starts.append(search) or [99] * len(search))
+        res = verify.suite_strategy_4regular()
+        assert res.passed and res.checked == 1024 + 128 + 512
+        assert len(built) == len(starts) == 704
+        assert [len(search) for search in starts] == [16] * 64 + [1] * 640
 
     def test_illegal_cop_action_becomes_failure(self, monkeypatch):
         real = FourRegularStrategy.__call__
