@@ -58,26 +58,22 @@ class UnderlyingGraph:
             seen.add(key)
             canon.append(key)
         canon.sort()
-        adj: list[list[int]] = [[] for _ in range(n)]
+        # neighbours only of the vertices on an edge, so a huge n with few
+        # edges is refused as disconnected before anything is built per vertex
+        near: dict[int, list[int]] = {0: []}
         for u, v in canon:
-            adj[u].append(v)
-            adj[v].append(u)
-        g = UnderlyingGraph(n, tuple(canon), tuple(tuple(sorted(a)) for a in adj))
-        comp = g._component_of(0)
+            near.setdefault(u, []).append(v)
+            near.setdefault(v, []).append(u)
+        comp = {0}
+        stack = [0]
+        while stack:
+            for w in near[stack.pop()]:
+                if w not in comp:
+                    comp.add(w)
+                    stack.append(w)
         if len(comp) != n:
             raise DisconnectedError(comp)
-        return g
-
-    def _component_of(self, start: int) -> frozenset[int]:
-        seen = {start}
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for w in self.adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return frozenset(seen)
+        return UnderlyingGraph(n, tuple(canon), tuple(tuple(sorted(near[v])) for v in range(n)))
 
     @property
     def m(self) -> int:

@@ -11,6 +11,7 @@ import functools
 import random
 
 from .errors import (
+    IllegalActionError,
     InternalInvariantViolation,
     NotSingleSourceDagError,
     RobberNotTrappedError,
@@ -152,7 +153,8 @@ class RandomRobber(Strategy):
 
 
 class ManualStrategy(Strategy):
-    """Reads actions from an input stream; used by the CLI's `manual` players."""
+    """Reads actions from an input stream; used by the CLI's `manual` players.
+    A line it cannot read, or the end of the input, raises `IllegalActionError`."""
 
     def __init__(self, role: str, stream=None, out=None):
         import sys
@@ -178,21 +180,24 @@ class ManualStrategy(Strategy):
         print(f"[{self.role}] {prompt}> ", end="", file=self.out, flush=True)
         line = self.stream.readline()
         if not line:
-            raise EOFError("manual input ended")
+            raise IllegalActionError(f"{self.role} input ended")
         parts = line.split()
-        if state.turn is Turn.COP_PLACEMENT:
-            return PlaceCops(tuple(sorted(int(p) for p in parts)))
-        if state.turn is Turn.ROBBER_PLACEMENT:
-            return PlaceRobber(int(parts[0]))
-        act: object
-        if parts[0] == "stay":
-            act = Stay()
-        elif parts[0] == "move":
-            act = MoveTo(int(parts[1]))
-        elif parts[0] == "push":
-            act = Push(int(parts[1]))
-        else:
-            raise ValueError(f"unrecognized action {line!r}")
+        try:
+            if state.turn is Turn.COP_PLACEMENT:
+                return PlaceCops(tuple(sorted(int(p) for p in parts)))
+            if state.turn is Turn.ROBBER_PLACEMENT:
+                return PlaceRobber(int(parts[0]))
+            if parts[0] == "stay":
+                act = Stay()
+            elif parts[0] == "move":
+                act = MoveTo(int(parts[1]))
+            elif parts[0] == "push":
+                act = Push(int(parts[1]))
+            else:
+                raise ValueError(parts[0])
+        except (ValueError, IndexError):
+            raise IllegalActionError(
+                f"unreadable {self.role} input {line.strip()!r} (expected {prompt})") from None
         if state.turn is Turn.COP:
             return (act,) + (Stay(),) * (game.variant.cops - 1)
         return act

@@ -181,13 +181,23 @@ def one_cop_theorems(g: UnderlyingGraph) -> tuple[str, ...]:
     return tuple(name for name, covered in covers.items() if covered)
 
 
+MONOTONIC_K_MAX = 3
+
+
 def suite_one_cop(max_n: int = 5) -> SuiteResult:
     """One strong-push cop wins every orientation of every graph a one-cop theorem
-    covers; a lost member of an uncovered graph answers the open problem (a finding)."""
+    covers; a lost member of an uncovered graph answers the open problem (a finding).
+    More push power never hurts either: c_sp <= c_wp <= c, up to MONOTONIC_K_MAX
+    cops.  c_sp is 1 on each member the one-cop solve wins (only a class with a
+    lost member searches on), c_wp is one `cop_numbers` search per class, and
+    pushless c is searched only below c_wp (up to MONOTONIC_K_MAX when c_wp is
+    None), the only c at which "c_wp exceeds c" can fail."""
     res = SuiteResult("one-cop")
     graphs, classes, members = Counter(), Counter(), Counter()  # keyed by (n, label)
     top_level: dict[int, int] = {}  # n -> highest max_level of an uncovered class
     hard: list[OrientedGraph] = []
+    c_wp_seen: Counter = Counter()
+    searched = 0
     for g in _connected_graphs(max_n):
         theorems = one_cop_theorems(g)
         keys = [(g.n, label) for label in theorems or ("uncovered",)]
@@ -204,6 +214,20 @@ def suite_one_cop(max_n: int = 5) -> SuiteResult:
             else:
                 top_level[g.n] = max(top_level.get(g.n, 0), solved.max_level)
                 hard.extend(lost)
+            strong = (cop_numbers(rep, PushAbility.STRONG, MONOTONIC_K_MAX) if lost
+                      else dict.fromkeys(wins, 1))
+            weak = cop_numbers(rep, PushAbility.WEAK, MONOTONIC_K_MAX)
+            c_wp_seen.update(weak.values())
+            for p, c_wp in weak.items():
+                limit = MONOTONIC_K_MAX if c_wp is None else c_wp - 1
+                if limit > 0:
+                    searched += 1
+                    c = cop_numbers(rep.with_parity(p), PushAbility.NONE, limit).get(p)
+                    if c is not None:
+                        res.fail(f"c_wp={c_wp} exceeds c={c}", rep.with_parity(p))
+                c_sp = strong[p]
+                if c_wp is not None and (c_sp is None or c_sp > c_wp):
+                    res.fail(f"c_sp={c_sp} exceeds c_wp={c_wp}", rep.with_parity(p))
     for label in ("3-degenerate", "max-degree-4", "uncovered"):
         per_n = {n: (graphs[n, label], classes[n, label], members[n, label])
                  for n in range(1, max_n + 1)}
@@ -216,6 +240,8 @@ def suite_one_cop(max_n: int = 5) -> SuiteResult:
         res.repro = res.repro or hard[0]
     else:
         res.findings.append("no push class has an orientation with strong-push cop number > 1")
+    res.findings.append(f"c_wp histogram {dict(sorted(c_wp_seen.items(), key=repr))};"
+                        f" pushless searches on {searched} of {res.checked} members")
     return res
 
 
@@ -352,40 +378,6 @@ def suite_trap(max_n: int = 12) -> SuiteResult:
     return res
 
 
-MONOTONIC_K_MAX = 3
-
-
-def suite_monotonic(max_n: int = 5) -> SuiteResult:
-    """More push power never hurts: strong <= weak <= no-push cop numbers,
-    each searched up to MONOTONIC_K_MAX cops.  c_wp and c_sp come from one
-    `cop_numbers` search per push class; each member's pushless c only up to
-    c_wp - 1 (MONOTONIC_K_MAX when c_wp is None), the only c for which "c_wp
-    exceeds c" can fail, so failures and messages match a full search and a
-    member with c_wp = 1 is never built."""
-    res = SuiteResult("monotonic")
-    c_wp_seen: Counter = Counter()
-    searched = 0
-    for g in _connected_graphs(max_n):
-        for rep in enumerate_orientations(g, per_class=True):
-            weak = cop_numbers(rep, PushAbility.WEAK, MONOTONIC_K_MAX)
-            strong = cop_numbers(rep, PushAbility.STRONG, MONOTONIC_K_MAX)
-            res.checked += len(weak)
-            c_wp_seen.update(weak.values())
-            for p, c_wp in weak.items():
-                limit = MONOTONIC_K_MAX if c_wp is None else c_wp - 1
-                if limit > 0:
-                    searched += 1
-                    c = cop_numbers(rep.with_parity(p), PushAbility.NONE, limit).get(p)
-                    if c is not None:
-                        res.fail(f"c_wp={c_wp} exceeds c={c}", rep.with_parity(p))
-                c_sp = strong[p]
-                if c_wp is not None and (c_sp is None or c_sp > c_wp):
-                    res.fail(f"c_sp={c_sp} exceeds c_wp={c_wp}", rep.with_parity(p))
-    res.findings.append(f"c_wp histogram {dict(sorted(c_wp_seen.items(), key=repr))};"
-                        f" pushless searches on {searched} of {res.checked} members")
-    return res
-
-
 # additional acceptance checks (not named verify suites)
 
 def check_directed_cycles() -> SuiteResult:
@@ -426,5 +418,4 @@ SUITES = {
     "strategy-4regular": suite_strategy_4regular,
     "pushdag-props": suite_pushdag_props,
     "trap": suite_trap,
-    "monotonic": suite_monotonic,
 }

@@ -7,7 +7,6 @@ import pytest
 from pushcops.verify import (
     check_directed_cycles,
     check_k4_obstruction,
-    suite_monotonic,
     suite_one_cop,
     suite_pushdag_props,
     suite_strategy_4regular,
@@ -42,10 +41,10 @@ SMALL_N = "1: (1, 1, 1), 2: (1, 1, 2), 3: (4, 5, 20), 4: (38, 78, 624)"
 
 @pytest.fixture(scope="module")
 def one_cop_n5():
-    """The n <= 5 one-cop pass, run once for the three tests that read it:
+    """The n <= 5 one-cop pass, run once for the four tests that read it:
     one solve per push class labels every member under each theorem that
     covers its graph; every graph at this scale is covered, K5 by
-    max-degree-4 alone."""
+    max-degree-4 alone.  The same pass checks push monotonicity."""
     res = suite_one_cop(max_n=5)
     assert res.checked == 55_895
     return res
@@ -75,24 +74,31 @@ def test_open_problem_sweep_fast_tier(one_cop_n5):
     """No connected graph with n <= 5 is left uncovered by the two theorems,
     so the open-problem sweep finds nothing and writes no repro."""
     report("open-problem sweep: uncovered graphs with c_sp > 1 (n<=5 tier)", one_cop_n5)
-    assert one_cop_n5.findings[2:] == [
+    assert one_cop_n5.findings[2:5] == [
         "uncovered: 0 members; graphs, classes, members per n"
         " {1: (0, 0, 0), 2: (0, 0, 0), 3: (0, 0, 0), 4: (0, 0, 0), 5: (0, 0, 0)}",
         "highest uncovered max_level per n {}",
         "no push class has an orientation with strong-push cop number > 1",
     ]
     assert one_cop_n5.repro is None
-    assert len(one_cop_n5.findings) == 5
+    assert len(one_cop_n5.findings) == 6
+
+
+@pytest.fixture(scope="module")
+def one_cop_n6():
+    """The n <= 6 one-cop pass, run once for the two `slow` tests that read it."""
+    res = suite_one_cop(max_n=6)
+    assert res.checked == 14_038_103
+    return res
 
 
 @pytest.mark.slow
-def test_one_cop_theorems_full():
+def test_one_cop_theorems_full(one_cop_n6):
     """The n <= 6 tier, which also sweeps the 211 graphs no theorem covers
     for an orientation needing two strong-push cops (the open problem)."""
-    res = suite_one_cop(max_n=6)
-    report("3-degenerate or max degree <= 4 => c_sp = 1, open-problem sweep (n<=6 full)", res)
-    assert res.checked == 14_038_103
-    assert res.findings == [
+    report("3-degenerate or max degree <= 4 => c_sp = 1, open-problem sweep (n<=6 full)",
+           one_cop_n6)
+    assert one_cop_n6.findings[:5] == [
         "3-degenerate: 12529751 members; graphs, classes, members per n"
         f" {{{SMALL_N}, 5: (727, 3389, 54224), 6: (26478, 389840, 12474880)}}",
         "max-degree-4: 6661015 members; graphs, classes, members per n"
@@ -102,6 +108,7 @@ def test_one_cop_theorems_full():
         "highest uncovered max_level per n {6: 10}",
         "no push class has an orientation with strong-push cop number > 1",
     ]
+    assert len(one_cop_n6.findings) == 6
 
 
 def test_four_regular_strategy_beats_optimal_robber():
@@ -140,15 +147,19 @@ def test_trapped_robber_capture_bound():
     ]
 
 
-def test_push_power_monotonicity():
-    res = suite_monotonic(max_n=5)
-    report("c_sp <= c_wp <= c (n<=5, k<=3)", res)
-    assert res.checked == 55_895
+def test_push_power_monotonicity(one_cop_n5):
+    """c_sp <= c_wp <= c on every orientation with n <= 5, up to 3 cops; every
+    member has c_wp = 1, so no pushless search runs."""
+    report("c_sp <= c_wp <= c (n<=5, k<=3)", one_cop_n5)
+    assert one_cop_n5.findings[-1] == (
+        "c_wp histogram {1: 55895}; pushless searches on 0 of 55895 members")
 
 
 @pytest.mark.slow
-def test_push_power_monotonicity_full():
-    report("c_sp <= c_wp <= c (n<=6 full, k<=3)", suite_monotonic(max_n=6))
+def test_push_power_monotonicity_full(one_cop_n6):
+    report("c_sp <= c_wp <= c (n<=6 full, k<=3)", one_cop_n6)
+    assert one_cop_n6.findings[-1] == (
+        "c_wp histogram {1: 14038103}; pushless searches on 0 of 14038103 members")
 
 
 def test_directed_cycles_classical_vs_push():

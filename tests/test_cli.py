@@ -187,6 +187,18 @@ class TestManualStrategy:
         )
         assert trace.outcome["type"] in ("captured", "round-limit")
 
+    @pytest.mark.parametrize("line", ["jump 1\n", "move\n", "move x\n", "\n", ""],
+                             ids=["unknown-verb", "no-vertex", "bad-vertex", "empty-line",
+                                  "end-of-input"])
+    def test_unreadable_input_exit_1(self, tmp_path, monkeypatch, capsys, line):
+        """A line the manual robber cannot read, or the end of its input, on its
+        first move (the oracle cop does not capture on 2 at once) ends the
+        match with one error line after the prompt, not a traceback."""
+        monkeypatch.setattr(sys, "stdin", io.StringIO("2\n" + line))
+        assert main(["play", "--input", triangle_file(tmp_path), "--robber", "manual"]) == 1
+        prompts, _, error = capsys.readouterr().err.rpartition("action: stay | move V | push V> ")
+        assert prompts and error.startswith("error: ") and error.count("\n") == 1
+
 
 class TestGen:
     def test_gen_cycle_classes(self, tmp_path, capsys):
@@ -335,6 +347,9 @@ class TestVerify:
     def test_unknown_suite_exit_1(self, capsys):
         assert main(["verify", "nonsense"]) == 1
         assert "unknown suite" in capsys.readouterr().err
+        # the retired monotonicity suite is part of one-cop, with no alias
+        assert main(["verify", "monotonic"]) == 1
+        assert "unknown suite 'monotonic'" in capsys.readouterr().err
 
     def test_max_n_reaches_strategy_4regular(self, monkeypatch, capsys):
         # the 64 push classes of K5 give 1,024 orientations
@@ -354,7 +369,7 @@ class TestVerify:
         assert "max_n >= 2" in capsys.readouterr().err
 
     @pytest.mark.parametrize("max_n", ["0", "-1"])
-    @pytest.mark.parametrize("suite", ["monotonic", "strategy-4regular"])
+    @pytest.mark.parametrize("suite", ["one-cop", "strategy-4regular"])
     def test_max_n_below_one_exit_1(self, monkeypatch, capsys, suite, max_n):
         solves = []
         monkeypatch.setattr(verify, "solve_game", lambda *args: solves.append(args))

@@ -171,6 +171,38 @@ class TestGadgetWalk:
                 ("_gadget_arrival", MoveTo), ("_gadget_arrival", Push)} <= steps
 
 
+class TestDoublePush:
+    """No robber line from placement reaches `_double_push`'s answer to a
+    robber on x2.  From these invariant-mode cop turns (no trap path, no
+    plan) every robber line is captured, and some line takes that step:
+    `_nonedge_case1`'s on C8(1,2), `_nonedge_case2`'s on C7(1,2)."""
+
+    class X2Spy(FourRegularStrategy):
+        """Counts the turns on which the double push's x2 step is taken."""
+
+        x2_steps = 0
+
+        def _take_step(self, r):
+            tail = self.plan
+            if (len(tail) == 3 and tail[1][0] == r
+                    and tail[2][2] == "unexpected robber position after the double push"):
+                self.x2_steps += 1
+            return super()._take_step(r)
+
+    @pytest.mark.parametrize("g,ref_bits,parity,robber,visited,worst,script", [
+        (circulant(8, (1, 2)), 192, 98, 1, {0, 1, 5}, 7, "_nonedge_case1"),
+        (circulant(7, (1, 2)), 96, 20, 6, {6}, 8, "_nonedge_case2"),
+    ], ids=["case1", "case2"])
+    def test_robber_on_x2_is_captured(self, g, ref_bits, parity, robber, visited, worst,
+                                      script):
+        og = OrientedGraph(g, ref_bits, parity)
+        cop = self.X2Spy(og)
+        cop.memory = (frozenset(visited), "invariant", 0, None, None)
+        start = GameState(og.parity, (0,), robber, Turn.COP)
+        assert worst_robber_lines(cop, Game(og, STRONG), [start]) == [worst]
+        assert cop.x2_steps > 0 and script in scripts_run(cop)
+
+
 class TestMatches:
     def test_k5_all_classes_capture_with_clean_audit(self):
         for rep in enumerate_orientations(complete(5), per_class=True):

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -47,8 +48,20 @@ class TestConstruction:
             validate_graph(2, [(0, 1), (1, 0)])
 
     def test_disconnected_rejected(self):
-        with pytest.raises(DisconnectedError):
+        with pytest.raises(DisconnectedError) as exc:
             UnderlyingGraph.from_edges(4, [(0, 1), (2, 3)])
+        assert exc.value.component == {0, 1}
+
+    def test_huge_edgeless_n_refused_before_allocating(self):
+        """A header such as `1000000 0` is refused before anything is built per vertex."""
+        tracemalloc.start()
+        try:
+            with pytest.raises(DisconnectedError):
+                UnderlyingGraph.from_edges(10**6, [])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_vertex_out_of_range(self):
         with pytest.raises(VertexOutOfRangeError):

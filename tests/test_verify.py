@@ -1,8 +1,9 @@
 import sys
+from collections import Counter
 
 import pytest
 
-from pushcops import pushdag, strategies, verify
+from pushcops import pushdag, solver, strategies, verify
 from pushcops.engine import (
     Game,
     GameVariant,
@@ -54,7 +55,7 @@ class TestTheoremDag:
 
 
 class TestMaxN:
-    @pytest.mark.parametrize("name", ["theorem-dag", "one-cop", "pushdag-props", "monotonic"])
+    @pytest.mark.parametrize("name", ["theorem-dag", "one-cop", "pushdag-props"])
     def test_over_the_cap_raises_before_any_work(self, monkeypatch, name):
         monkeypatch.setattr(verify, "MAX_ENUM_VERTICES", 3)
         calls = []
@@ -94,12 +95,21 @@ class TestOneCopSuites:
         assert "found 1 orientation(s) with strong-push cop number > 1" in res.findings
 
     def test_solves_each_push_class_once(self, monkeypatch):
-        real = verify.solve_game
-        calls = []
-        monkeypatch.setattr(verify, "solve_game",
-                            lambda og, variant: calls.append(og) or real(og, variant))
+        """One strong-push and one weak-push solve per push class, and no
+        other: the monotonicity check reads c_sp off the one-cop solve, and
+        every member here has c_wp = 1, so no pushless search runs."""
+        real = solver.solve_game
+        calls = Counter()
+
+        def counting(og, variant):
+            calls[variant] += 1
+            return real(og, variant)
+
+        monkeypatch.setattr(verify, "solve_game", counting)
+        monkeypatch.setattr(solver, "solve_game", counting)  # read by cop_numbers
         assert verify.suite_one_cop(max_n=4).passed
-        assert len(calls) == 85  # the push classes of the connected graphs on at most 4 vertices
+        # 85 push classes of the connected graphs on at most 4 vertices
+        assert calls == {verify.STRONG_1: 85, verify.WEAK_1: 85}
 
     def test_coverage_labels_to_n6(self):
         # (n, label) -> [graphs, classes, members]: a connected graph has
@@ -205,17 +215,20 @@ class TestMonotonic:
     @pytest.mark.parametrize("max_cops,c_wp", [(verify.MONOTONIC_K_MAX, None), (1, 2)])
     def test_weak_loss_is_reported_against_c(self, monkeypatch, max_cops, c_wp):
         self.lose_at_parity_1(monkeypatch, PushAbility.WEAK, max_cops)
-        res = verify.suite_monotonic(max_n=2)
+        res = verify.suite_one_cop(max_n=2)
         assert res.failures == [f"c_wp={c_wp} exceeds c=1"]
         assert res.repro.parity == 1
-        assert res.findings == [
+        assert res.findings[-1] == (
             f"c_wp histogram {{1: 2, {c_wp}: 1}}; pushless searches on 1 of 3 members"
-        ]
+        )
 
     def test_strong_loss_is_reported_against_c_wp(self, monkeypatch):
         self.lose_at_parity_1(monkeypatch, PushAbility.STRONG, 1)
-        res = verify.suite_monotonic(max_n=2)
-        assert res.failures == ["c_sp=2 exceeds c_wp=1"]
+        res = verify.suite_one_cop(max_n=2)
+        assert res.failures == [
+            "strong-push cop number exceeds 1 (3-degenerate and max-degree-4)",
+            "c_sp=2 exceeds c_wp=1",
+        ]
         assert res.repro.parity == 1
 
     def test_counts_every_member(self, monkeypatch):
@@ -228,7 +241,7 @@ class TestMonotonic:
             return real(og, push, k_max)
 
         monkeypatch.setattr(verify, "cop_numbers", counting)
-        res = verify.suite_monotonic(max_n=3)
+        res = verify.suite_one_cop(max_n=3)
         assert res.passed and res.checked == 23
         assert pushless == []
 
