@@ -32,13 +32,9 @@ def _load_graph(path: str):
         with open(path) as fh:
             return parse_arcs(fh.read())
     except OSError as exc:
-        raise SystemExit2(f"cannot read {path}: {exc.strerror}")
+        raise PushcopsError(f"cannot read {path}: {exc.strerror}")
     except (ValueError, PushcopsError) as exc:
-        raise SystemExit2(f"{path}: {exc}")
-
-
-class SystemExit2(Exception):
-    """User error destined for exit code 1."""
+        raise PushcopsError(f"{path}: {exc}")
 
 
 def cmd_solve(args) -> int:
@@ -123,7 +119,7 @@ def cmd_gen(args) -> int:
     for item in (args.params.split(",") if args.params else []):
         key, _, value = item.partition("=")
         if not _:
-            raise SystemExit2(f"bad --params entry {item!r} (expected key=value)")
+            raise PushcopsError(f"bad --params entry {item!r} (expected key=value)")
         params[key] = value.split(":") if ":" in value else value
     count = 0
     for label, g in build_family(args.family, params):
@@ -141,11 +137,11 @@ def cmd_sweep(args) -> int:
         with open(args.spec) as fh:
             spec = json.load(fh)
     except OSError as exc:
-        raise SystemExit2(f"cannot read {args.spec}: {exc.strerror}")
+        raise PushcopsError(f"cannot read {args.spec}: {exc.strerror}")
     except json.JSONDecodeError as exc:
-        raise SystemExit2(f"{args.spec}: invalid JSON at line {exc.lineno}")
+        raise PushcopsError(f"{args.spec}: invalid JSON at line {exc.lineno}")
     if not isinstance(spec, dict) or not isinstance(spec.get("jobs", []), list):
-        raise SystemExit2(f"{args.spec}: the spec must be a JSON object with a list of jobs")
+        raise PushcopsError(f"{args.spec}: the spec must be a JSON object with a list of jobs")
     report = run_sweep(spec)
     paths = write_report(report, args.out)
     print(
@@ -157,7 +153,7 @@ def cmd_sweep(args) -> int:
 def cmd_verify(args) -> int:
     suite = SUITES.get(args.suite)
     if suite is None:
-        raise SystemExit2(f"unknown suite {args.suite!r}; choose from {sorted(SUITES)}")
+        raise PushcopsError(f"unknown suite {args.suite!r}; choose from {sorted(SUITES)}")
     res = suite() if args.max_n is None else suite(max_n=args.max_n)
     print(res.summary())
     if res.repro is not None:
@@ -228,9 +224,6 @@ def main(argv=None) -> int:
         return 1 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except SystemExit2 as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except OSError as exc:  # reads are caught where they happen, so this is a write
         print(f"error: cannot write {exc.filename or 'output'}: {exc.strerror}", file=sys.stderr)
         return 1

@@ -31,8 +31,8 @@ from .graph import OrientedGraph, parity_bit
 # on Q3 and 24.1 for 3 strong-push cops on K7; it grows with the cop count,
 # since every bitset also covers the unsorted cop tuples (111 B/state for 4
 # cops on K8, 326 for 5 weak-push cops on K6), so no state count bounds it.
-# Between solves the one cached `_frame` keeps the masks no arc changes:
-# the parity flips, cop swaps and weak-push cop positions, and up to k + 4 more.
+# Between solves the one cached `_frame` keeps the masks no arc changes: the
+# parity flips and cop swaps, and up to k + 4 more; a layout holds the rest.
 MEMORY_BUDGET = 2 * 10**9
 
 
@@ -66,13 +66,13 @@ def _tile(unit: int, width: int, count: int) -> int:
 
 class _Frame:
     """The part of an arena and its bit layout that no arc changes: it
-    depends on (n, k, push) only, and under PushAbility.NONE on the parity.
-    Solves share it, so it holds ints, tuples and read-only mappings, and no
-    per-vertex masks but the weak-push `cop_at` that `solve_bytes` counts."""
+    depends on (n, k, whether cops push) only, and without pushes on the
+    parity, so strong and weak push share it.  Solves share it, so it holds
+    ints, tuples and read-only mappings, and each mover's lane on vertex 0 only."""
 
-    def __init__(self, n: int, k: int, push: PushAbility, parity: int | None):
-        blocks = 1 if push is PushAbility.NONE else 1 << max(n - 1, 0)
-        self.parities = (parity,) if push is PushAbility.NONE else tuple(range(blocks))
+    def __init__(self, n: int, k: int, pushes: bool, parity: int | None):
+        blocks = 1 << max(n - 1, 0) if pushes else 1
+        self.parities = tuple(range(blocks)) if pushes else (parity,)
         self.par_index = MappingProxyType({p: i for i, p in enumerate(self.parities)})
         self.cfgs = tuple(itertools.combinations_with_replacement(range(n), k))
         self.cfg_index = MappingProxyType({c: i for i, c in enumerate(self.cfgs)})
@@ -103,8 +103,6 @@ class _Frame:
             for x, w in zip(one[1:], cop_w):
                 hit |= x << a * w & one[0] << a
         self.capture = _tile(hit, self.block, blocks)
-        self.cop_at = tuple(tuple(x << a * w for a in range(n)) if push is PushAbility.WEAK else ()
-                            for x, w in zip(self.at0[1:], cop_w))  # per cop and vertex
         # with k >= 2, cop_pre keeps the sorted cop tuples, then copies them
         # to every ordering by swapping adjacent cops along a reduced word of
         # the longest permutation (subword property)
@@ -127,9 +125,9 @@ class _Frame:
 
 
 @functools.lru_cache(maxsize=1)
-def _frame(n: int, k: int, push: PushAbility, parity: int | None) -> _Frame:
+def _frame(n: int, k: int, pushes: bool, parity: int | None) -> _Frame:
     """The one cached frame, so no other key's masks outlive the next set-up."""
-    return _Frame(n, k, push, parity)
+    return _Frame(n, k, pushes, parity)
 
 
 class Arena:
@@ -153,9 +151,9 @@ class Arena:
     def frame(self) -> _Frame:
         """This arena's shared frame, looked up and not kept: a result holds
         its arena, and should hold none of the frame's masks."""
-        push = self.variant.push
-        parity = self.initial_parity if push is PushAbility.NONE else None
-        return _frame(self.graph.n, self.variant.cops, push, parity)
+        pushes = self.variant.push is not PushAbility.NONE
+        parity = None if pushes else self.initial_parity
+        return _frame(self.graph.n, self.variant.cops, pushes, parity)
 
     def states(self) -> Iterator[GameState]:
         """Every arena state: the cop-placement root, one robber placement per
@@ -191,7 +189,7 @@ class BitLayout:
 
     def __init__(self, arena: Arena):
         self.frame = f = arena.frame()
-        self.k, self.ability = arena.variant.cops, arena.variant.push
+        self.ability = arena.variant.push
         low, full, ref = f.low, f.full, arena.ref_bits
         # per mover, the moves to a higher vertex (pulls by d > 0, right
         # shifts) and to a lower one (pulls by -d, left shifts), keyed by d
@@ -213,6 +211,10 @@ class BitLayout:
                 down[d] <<= d
         moves = [(list(up.items()), list(down.items())) for up, down in zip(ups, downs)]
         self.robber_moves, self.cop_moves = moves[0], moves[1:]
+        # each cop's lane on each vertex, where it may push under weak push
+        weak = self.ability is PushAbility.WEAK
+        self.cop_at = [[x << a * w for a in range(arena.graph.n)] if weak else []
+                       for x, w in zip(f.at0[1:], f.widths[1:])]
 
     def robber_pre(self, won: int) -> int:
         """Positions where the robber, to move, can only stay or move into `won`."""
@@ -235,9 +237,8 @@ class BitLayout:
         only the sorted tuples are kept and then copied to their permutations.
         """
         f = self.frame
-        for j in reversed(range(self.k)):
+        for (right, left), at in zip(reversed(self.cop_moves), reversed(self.cop_at)):
             out = won
-            right, left = self.cop_moves[j]
             for d, m in right:
                 out |= m & (won >> d)
             for d, m in left:
@@ -249,7 +250,6 @@ class BitLayout:
                     every = ((every & low) << s) | ((every >> s) & low)
                 out |= every
             elif self.ability is PushAbility.WEAK:
-                at = f.cop_at[j]
                 every = won
                 for v, (s, low) in enumerate(f.flips, 1):
                     out |= at[v] & (((won & low) << s) | ((won >> s) & low))

@@ -154,7 +154,8 @@ class RandomRobber(Strategy):
 
 class ManualStrategy(Strategy):
     """Reads actions from an input stream; used by the CLI's `manual` players.
-    A line it cannot read, or the end of the input, raises `IllegalActionError`."""
+    A line it cannot read, one with more tokens than its prompt asks for, or
+    the end of the input raises `IllegalActionError`."""
 
     def __init__(self, role: str, stream=None, out=None):
         import sys
@@ -182,20 +183,18 @@ class ManualStrategy(Strategy):
         if not line:
             raise IllegalActionError(f"{self.role} input ended")
         parts = line.split()
-        try:
+        try:  # a wrong token count fails to unpack
             if state.turn is Turn.COP_PLACEMENT:
                 return PlaceCops(tuple(sorted(int(p) for p in parts)))
             if state.turn is Turn.ROBBER_PLACEMENT:
-                return PlaceRobber(int(parts[0]))
-            if parts[0] == "stay":
+                vertex, = parts
+                return PlaceRobber(int(vertex))
+            if parts == ["stay"]:
                 act = Stay()
-            elif parts[0] == "move":
-                act = MoveTo(int(parts[1]))
-            elif parts[0] == "push":
-                act = Push(int(parts[1]))
             else:
-                raise ValueError(parts[0])
-        except (ValueError, IndexError):
+                verb, vertex = parts
+                act = {"move": MoveTo, "push": Push}[verb](int(vertex))
+        except (ValueError, KeyError):
             raise IllegalActionError(
                 f"unreadable {self.role} input {line.strip()!r} (expected {prompt})") from None
         if state.turn is Turn.COP:

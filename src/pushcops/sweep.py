@@ -9,7 +9,7 @@ import time
 from dataclasses import dataclass, field
 
 from .engine import GameVariant, PushAbility
-from .errors import BadFamilyParamsError, PushcopsError
+from .errors import BadFamilyParamsError, PushcopsError, TooLargeError
 from .generators import (
     circulant,
     complete,
@@ -95,14 +95,26 @@ def build_family(family: str, params: dict):
         raise BadFamilyParamsError(f"unknown family {family!r}")
 
 
+# Most orientations one `gen` or `sweep` lists for a graph, and most rows one
+# sweep holds.  By tracemalloc on Python 3.11 (K7's 32,768 push classes, 2,000
+# K6 sweep rows), a listed orientation takes 200 B, its sweep row 656 B, and
+# writing the report peaks 2.8 KB per row above that (`to_json`): 3.6 KB in
+# all, so 2^19 of them stay under the solver's 2 GB MEMORY_BUDGET.
+MAX_ORIENTATIONS = 1 << 19
+
+
 def orientations_for(g, orient: str, seed: int):
-    if orient == "classes":
-        return list(enumerate_orientations(g, per_class=True))
-    if orient == "enumerate":
-        return list(enumerate_orientations(g))
+    """The orientations of `g` that `orient` asks for, as a list; more than
+    MAX_ORIENTATIONS raises TooLargeError before any is built."""
+    counts = {"classes": 1 << (g.m - g.n + 1), "enumerate": 1 << g.m, "random": 1}
+    if orient not in counts:
+        raise BadFamilyParamsError(f"unknown orientation mode {orient!r}")
+    if counts[orient] > MAX_ORIENTATIONS:
+        raise TooLargeError(f"{counts[orient]} orientations ({orient}) of a graph with n={g.n},"
+                            f" m={g.m} exceed the cap of {MAX_ORIENTATIONS}", counts[orient])
     if orient == "random":
         return [random_orientation(g, seed)]
-    raise BadFamilyParamsError(f"unknown orientation mode {orient!r}")
+    return list(enumerate_orientations(g, per_class=orient == "classes"))
 
 
 @dataclass
@@ -187,7 +199,11 @@ def _run_job(report: SweepReport, job: dict) -> None:
     if k_max < 1:
         raise BadFamilyParamsError(f"k_max must be at least 1, got {k_max}")
     for label, g in build_family(family, params):
-        for og in orientations_for(g, job["orient"], seed):
+        ogs = orientations_for(g, job["orient"], seed)
+        if len(report.rows) + len(ogs) > MAX_ORIENTATIONS:
+            raise TooLargeError(f"{label}: the sweep would hold more than {MAX_ORIENTATIONS}"
+                                " rows", len(report.rows) + len(ogs))
+        for og in ogs:
             instance_id = f"{label}-r{og.ref_bits}-c{og.parity}"
             row = sweep_row(instance_id, family, og, push, k_max)
             report.rows.append(row)

@@ -1,14 +1,15 @@
 import io
 import json
 import sys
+import tracemalloc
 from collections import Counter
 
 import pytest
 
-from pushcops import pushdag, solver, verify
+from pushcops import pushdag, solver, sweep, verify
 from pushcops.cli import main
 from pushcops.engine import GameVariant, PlaceRobber, PushAbility, Trace, play_match
-from pushcops.errors import BadFamilyParamsError, InternalInvariantViolation
+from pushcops.errors import BadFamilyParamsError, InternalInvariantViolation, TooLargeError
 from pushcops.generators import (
     circulant,
     complete,
@@ -187,9 +188,10 @@ class TestManualStrategy:
         )
         assert trace.outcome["type"] in ("captured", "round-limit")
 
-    @pytest.mark.parametrize("line", ["jump 1\n", "move\n", "move x\n", "\n", ""],
+    @pytest.mark.parametrize("line", ["jump 1\n", "move\n", "move x\n", "\n", "",
+                                      "stay x\n"],
                              ids=["unknown-verb", "no-vertex", "bad-vertex", "empty-line",
-                                  "end-of-input"])
+                                  "end-of-input", "stay-extra-token"])
     def test_unreadable_input_exit_1(self, tmp_path, monkeypatch, capsys, line):
         """A line the manual robber cannot read, or the end of its input, on its
         first move (the oracle cop does not capture on 2 at once) ends the
@@ -198,6 +200,37 @@ class TestManualStrategy:
         assert main(["play", "--input", triangle_file(tmp_path), "--robber", "manual"]) == 1
         prompts, _, error = capsys.readouterr().err.rpartition("action: stay | move V | push V> ")
         assert prompts and error.startswith("error: ") and error.count("\n") == 1
+
+    @pytest.mark.parametrize("argv,lines,prompt", [
+        (["--robber", "manual"], "1 2\n", "robber placement vertex> "),
+        (["--cop", "manual", "--robber", "stay", "--robber-start", "1"], "0\nmove 1 2\n",
+         "action: stay | move V | push V> "),
+    ], ids=["robber-placement", "cop-move"])
+    def test_extra_tokens_exit_1(self, tmp_path, monkeypatch, capsys, argv, lines, prompt):
+        """A line with more tokens than its prompt asks for is refused, not
+        read up to the tokens the prompt wants (`stay x` is in
+        `test_unreadable_input_exit_1`)."""
+        monkeypatch.setattr(sys, "stdin", io.StringIO(lines))
+        assert main(["play", "--input", triangle_file(tmp_path), *argv]) == 1
+        prompts, _, error = capsys.readouterr().err.rpartition(prompt)
+        assert prompts and error.startswith("error: ") and "unreadable" in error
+
+    def test_manual_cop_captures(self, tmp_path, monkeypatch, capsys):
+        """The manual cop on 0 catches a robber staying on 1 along 0 -> 1."""
+        monkeypatch.setattr(sys, "stdin", io.StringIO("0\nmove 1\n"))
+        argv = ["--cop", "manual", "--robber", "stay", "--robber-start", "1"]
+        assert main(["play", "--input", triangle_file(tmp_path), *argv]) == 0
+        assert json.loads(capsys.readouterr().out)["outcome"] == {"type": "captured", "round": 1}
+
+    def test_manual_robber_stays(self, tmp_path, monkeypatch, capsys):
+        """A manual robber that places on 2 and then stays is caught by the
+        oracle cop as a robber who never moves would be."""
+        monkeypatch.setattr(sys, "stdin", io.StringIO("2\n" + "stay\n" * 5))
+        assert main(["play", "--input", triangle_file(tmp_path), "--robber", "manual"]) == 0
+        outcome = json.loads(capsys.readouterr().out)["outcome"]
+        assert main(["play", "--input", triangle_file(tmp_path), "--robber", "stay",
+                     "--robber-start", "2"]) == 0
+        assert json.loads(capsys.readouterr().out)["outcome"] == outcome
 
 
 class TestGen:
@@ -233,6 +266,21 @@ class TestGen:
         assert main(["gen", "--family", "complete", "--params", params, "--out", out]) == 1
         assert message in capsys.readouterr().err
 
+    def test_too_many_classes_refused_before_listing(self, tmp_path, capsys):
+        """K9's 2^28 push classes are refused before any is built."""
+        tracemalloc.start()
+        try:
+            code = main(["gen", "--family", "complete", "--params", "n=9", "--orient", "classes",
+                         "--out", str(tmp_path / "k9")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1 and peak < 10**6
+        assert capsys.readouterr().err == (
+            "error: 268435456 orientations (classes) of a graph with n=9, m=36"
+            f" exceed the cap of {sweep.MAX_ORIENTATIONS}\n")
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestSweep:
     def test_empty_spec(self, tmp_path, capsys):
@@ -262,6 +310,35 @@ class TestSweep:
             og = random_orientation(cycle(r["n"]), 0)
             result = solve_game(og, GameVariant(PushAbility.NONE, k))
             assert (r["iterations"], r["max_level"]) == (result.iterations, result.max_level)
+
+    def test_too_many_orientations_exit_1(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"jobs": [{"family": "complete", "params": {"n": 9}}]}))
+        assert main(["sweep", "--spec", str(spec), "--out", str(tmp_path / "rep")]) == 1
+        assert capsys.readouterr().err.startswith("error: 268435456 orientations (classes)")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["spec.json"]
+
+    def test_too_many_rows_refused(self, monkeypatch):
+        """The cap also bounds the rows of all jobs together."""
+        monkeypatch.setattr(sweep, "MAX_ORIENTATIONS", 3)
+        job = {"family": "cycle", "params": {"n": 4}}  # 2 push classes
+        assert len(run_sweep({"jobs": [job]}).rows) == 2
+        with pytest.raises(TooLargeError, match="cycle-4: the sweep would hold more than 3 rows"):
+            run_sweep({"jobs": [job, job]})
+
+    def test_strong_push_row_above_one_is_flagged(self, monkeypatch):
+        """With the solves made pushless, the strong-push rows of the two
+        directed triangles lose with one cop and are flagged; the six
+        transitive orientations win."""
+        real = sweep.solve_game
+        monkeypatch.setattr(sweep, "solve_game", lambda og, variant: real(
+            og, GameVariant(PushAbility.NONE, variant.cops)))
+        report = run_sweep({"jobs": [{"family": "cycle", "params": {"n": 3},
+                                      "orient": "enumerate"}]})
+        assert Counter(r["cop_number"] for r in report.rows) == {1: 6, ">1": 2}
+        assert len(report.flagged) == 2
+        for og in report.flagged:
+            assert all(og.out_degree(v) == 1 for v in range(3))
 
     def test_error_lands_in_row(self, tmp_path):
         # oversized instance: the solver refuses, the sweep keeps going

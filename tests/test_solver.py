@@ -162,6 +162,9 @@ class TestSolve:
         next give what a solve from an emptied frame cache gives."""
         path = validate_graph(3, [(0, 1), (1, 2)])
         runs = [
+            # strong and weak push on one push class share the cached frame
+            (triangle(), GameVariant(PushAbility.STRONG, 1)),
+            (triangle(), GameVariant(PushAbility.WEAK, 1)),
             (triangle(), GameVariant(PushAbility.STRONG, 1)),
             (directed_cycle(4), GameVariant(PushAbility.STRONG, 1)),
             (directed_cycle(4), GameVariant(PushAbility.STRONG, 2)),

@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 from collections import Counter
 
@@ -15,7 +16,11 @@ from pushcops.engine import (
     Turn,
     play_match,
 )
-from pushcops.errors import InternalInvariantViolation, TooLargeError
+from pushcops.errors import (
+    IllegalStrategyActionError,
+    InternalInvariantViolation,
+    TooLargeError,
+)
 from pushcops.four_regular import FourRegularStrategy
 from pushcops.generators import complete, enumerate_orientations
 from pushcops.graph import validate_graph
@@ -29,6 +34,35 @@ class TestTheoremDag:
         res = verify.suite_theorem_dag(max_n=2)
         assert not res.passed
         assert res.failures[0] == "worst robber line took 0 rounds, under the solver optimum 9"
+        assert res.repro.n == 1
+
+    def test_lost_member_fails(self, monkeypatch):
+        monkeypatch.setattr(SolveResult, "member_wins",
+                            lambda self: {p: p != 1 for p in self.arena.parities})
+        res = verify.suite_theorem_dag(max_n=2)
+        assert res.failures == ["solver says robber-win on a DAG-pushable orientation"]
+        assert (res.repro.n, res.repro.parity) == (2, 1)
+
+    @pytest.mark.parametrize("error", [
+        InternalInvariantViolation("no case applies"),
+        IllegalStrategyActionError("cops", 1, "no arc 0 -> 1"),
+    ], ids=["invariant", "illegal-action"])
+    def test_strategy_error_fails_the_class(self, monkeypatch, error):
+        def broken(cop, game, starts):
+            raise error
+
+        monkeypatch.setattr(verify, "worst_robber_lines", broken)
+        res = verify.suite_theorem_dag(max_n=2)
+        # one push class on each of 1 and 2 vertices
+        assert res.failures == [f"push-then-chase strategy: {type(error).__name__}: {error}"] * 2
+        assert res.repro.n == 1
+
+    def test_line_over_the_bound_fails(self, monkeypatch):
+        monkeypatch.setattr(verify, "worst_robber_lines",
+                            lambda cop, game, starts: [99] * len(starts))
+        res = verify.suite_theorem_dag(max_n=2)
+        # push budget + 3(n - 1): 0 on one vertex, 3 and 4 on the two members of an edge
+        assert res.failures == [f"capture took 99 rounds, bound {b}" for b in (0, 3, 4)]
         assert res.repro.n == 1
 
     def test_scans_each_push_class_once(self, monkeypatch):
@@ -111,6 +145,37 @@ class TestOneCopSuites:
         # 85 push classes of the connected graphs on at most 4 vertices
         assert calls == {verify.STRONG_1: 85, verify.WEAK_1: 85}
 
+    SMALL_N = "1: (1, 1, 1), 2: (1, 1, 2), 3: (4, 5, 20), 4: (38, 78, 624)"
+    NO_UNCOVERED = "1: (0, 0, 0), 2: (0, 0, 0), 3: (0, 0, 0), 4: (0, 0, 0)"
+
+    @pytest.mark.parametrize("max_n,checked,findings", [
+        (4, 647, [
+            f"3-degenerate: 647 members; graphs, classes, members per n {{{SMALL_N}}}",
+            f"max-degree-4: 647 members; graphs, classes, members per n {{{SMALL_N}}}",
+            f"uncovered: 0 members; graphs, classes, members per n {{{NO_UNCOVERED}}}",
+        ]),
+        (5, 55_895, [
+            "3-degenerate: 54871 members; graphs, classes, members per n"
+            f" {{{SMALL_N}, 5: (727, 3389, 54224)}}",
+            "max-degree-4: 55895 members; graphs, classes, members per n"
+            f" {{{SMALL_N}, 5: (728, 3453, 55248)}}",
+            "uncovered: 0 members; graphs, classes, members per n"
+            f" {{{NO_UNCOVERED}, 5: (0, 0, 0)}}",
+        ]),
+    ])
+    def test_strong_and_weak_push_share_one_frame_per_n(self, max_n, checked, findings):
+        """From an emptied cache the pass builds one kernel frame per n: its
+        strong-push and weak-push one-cop solves share it."""
+        solver._frame.cache_clear()
+        res = verify.suite_one_cop(max_n=max_n)
+        assert solver._frame.cache_info().misses == max_n
+        assert res.passed and res.checked == checked
+        assert res.findings == findings + [
+            "highest uncovered max_level per n {}",
+            "no push class has an orientation with strong-push cop number > 1",
+            f"c_wp histogram {{1: {checked}}}; pushless searches on 0 of {checked} members",
+        ]
+
     def test_coverage_labels_to_n6(self):
         # (n, label) -> [graphs, classes, members]: a connected graph has
         # 2^(m-n+1) push classes of 2^(n-1) members each
@@ -138,11 +203,47 @@ class TestOneCopSuites:
         }
 
 
+def endless_rounds(og):
+    """The growth rounds, then the last one again for ever."""
+    for item in pushdag.growth_rounds(og):
+        yield item
+    while True:
+        yield item
+
+
+def source_pushed(og):
+    """Each round's orientation with the first source pushed into a sink."""
+    rounds = pushdag.growth_rounds(og)
+    first = next(rounds)
+    yield first
+    for current, grown in rounds:
+        yield current.push(first[1].source), grown
+
+
+def reach_lost(og):
+    """Each round's partition with nothing reachable."""
+    rounds = pushdag.growth_rounds(og)
+    yield next(rounds)
+    for current, grown in rounds:
+        yield current, dataclasses.replace(grown, reachable=frozenset())
+
+
 class TestPushdagProps:
     def test_checks_the_library_growth_round(self, monkeypatch):
         real = pushdag._growth_pushes
         monkeypatch.setattr(pushdag, "_growth_pushes", lambda part: real(part)[:-1])
         assert not verify.suite_pushdag_props(max_n=3).passed
+
+    @pytest.mark.parametrize("name,fake,message", [
+        ("growth_rounds", endless_rounds, "normalization exceeded n-1 growth rounds"),
+        ("is_dag", lambda og: False, "growth round broke acyclicity"),
+        ("growth_rounds", source_pushed, "growth round destroyed the source"),
+        ("growth_rounds", reach_lost, "growth round lost a reachable vertex"),
+    ], ids=["rounds", "acyclic", "source", "reachable"])
+    def test_broken_round_fails(self, monkeypatch, name, fake, message):
+        monkeypatch.setattr(verify, name, fake)
+        res = verify.suite_pushdag_props(max_n=3)
+        assert not res.passed and set(res.failures) == {message}
 
 
 class TestTrap:
@@ -178,6 +279,14 @@ class TestTrap:
         assert not res.passed and res.repro is og
         assert res.failures[0].startswith("trap capture: InternalInvariantViolation:"
                                           " robber line never ends")
+
+    def test_line_over_the_bound_fails(self, monkeypatch):
+        og = validate_graph(4, [(0, 1), (1, 2), (3, 1), (3, 2)])
+        monkeypatch.setattr(verify, "random_trapped_instance", lambda rng, n: (og, 0, 2))
+        monkeypatch.setattr(verify, "worst_robber_lines", lambda cop, game, starts: [5])
+        res = verify.suite_trap()
+        assert not res.passed and res.repro is og
+        assert set(res.failures) == {"capture took 5 rounds, bound 4 (cop 0, robber 2)"}
 
     def test_rounds_match_the_stay_robber_match(self, monkeypatch):
         """On the suite's seeded instances, the worst robber line from the
@@ -257,6 +366,17 @@ class TestStrategy4Regular:
         assert not res.passed
         assert res.repro.graph == complete(5)
         assert "no case applies" in res.failures[0]
+
+    def test_lost_member_fails(self, monkeypatch):
+        monkeypatch.setattr(verify, "four_regular_families", lambda: [("K5", complete(5))])
+        monkeypatch.setattr(SolveResult, "member_wins",
+                            lambda self: {p: p != 1 for p in self.arena.parities})
+        monkeypatch.setattr(verify, "worst_robber_lines",
+                            lambda cop, game, starts: [99] * len(starts))
+        res = verify.suite_strategy_4regular()
+        # one lost member in each of K5's 64 push classes, and not checked
+        assert res.failures == ["K5: solver says one strong-push cop loses"] * 64
+        assert res.repro.parity == 1 and res.checked == 1024 - 64
 
     def test_script_histogram_finding(self, monkeypatch):
         monkeypatch.setattr(verify, "four_regular_families", lambda: [("K5", complete(5))])
